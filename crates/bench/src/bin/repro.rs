@@ -6,6 +6,7 @@
 //! repro all
 //! repro serve [--addr HOST:PORT] [--engines N] [--seed S]
 //! repro client <addr> <command> [flags]
+//! repro probe {async|service|gateway} <seed> <out>
 //! ```
 //!
 //! Experiments: datasets, fig2, fig7, fig8, fig9, fig10, fig11, fig12,
@@ -17,6 +18,9 @@
 //! gateway over an [`EnginePool`](hybridgraph_service::EnginePool),
 //! `client` speaks the wire protocol to it (see
 //! [`hybridgraph_bench::gwcli`]).
+//!
+//! `probe` runs one of the CI determinism probes and writes its bytes to
+//! `<out>` (see [`hybridgraph_bench::probe`]).
 //!
 //! `--scale N` generates datasets at 1/N of the paper's sizes
 //! (default 2000). Modeled runtimes are projected back by ×N.
@@ -107,24 +111,22 @@ fn dispatch(name: &str, scale: Scale, observe: &exp::observe::ObserveOpts) -> bo
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The gateway CLI pair dispatches before experiment parsing: its
-    // flags (`--addr`, `--engines`, ...) are not experiment flags.
-    match args.first().map(String::as_str) {
-        Some("serve") => {
-            if let Err(e) = hybridgraph_bench::gwcli::serve(&args[1..]) {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-            return;
+    // The gateway CLI pair and the probes dispatch before experiment
+    // parsing: their arguments (`--addr`, `--engines`, a seed, ...) are
+    // not experiment flags.
+    let rest = args.get(1..).unwrap_or_default();
+    let command = match args.first().map(String::as_str) {
+        Some("serve") => Some(hybridgraph_bench::gwcli::serve(rest)),
+        Some("client") => Some(hybridgraph_bench::gwcli::client(rest)),
+        Some("probe") => Some(hybridgraph_bench::probe::run(rest)),
+        _ => None,
+    };
+    if let Some(result) = command {
+        if let Err(e) = result {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
-        Some("client") => {
-            if let Err(e) = hybridgraph_bench::gwcli::client(&args[1..]) {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-            return;
-        }
-        _ => {}
+        return;
     }
     let mut scale = Scale::default_scale();
     let mut observe = exp::observe::ObserveOpts::default();

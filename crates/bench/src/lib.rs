@@ -18,6 +18,7 @@
 
 pub mod experiments;
 pub mod gwcli;
+pub mod probe;
 pub mod report;
 pub mod table;
 

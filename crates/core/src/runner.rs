@@ -1,14 +1,17 @@
 //! The master: job orchestration (paper Fig. 1 and Algorithm 3) plus the
 //! checkpoint/recovery protocol.
 //!
-//! [`run_job`] spawns one OS thread per computational node, loads the
-//! graph into each worker's stores, then drives supersteps: the master
-//! broadcasts a step command, every worker executes it against the shared
-//! network fabric, and the master's collection of all reports is the BSP
-//! barrier. Between supersteps the master aggregates metrics, evaluates
-//! the hybrid switching condition (`evaluate(...)` in Algorithm 3) and
-//! checks termination (no responders and no pending messages, or the
-//! superstep budget).
+//! [`run_job`] spawns one OS thread per computational node and walks a
+//! private `Master` through its phases: `load` (every worker builds its
+//! stores), `resume_or_baseline`, then `step` until termination, and
+//! finally `collect`. A step broadcasts the command, every worker
+//! executes it against the shared network fabric, and the master's
+//! collection of one reply per worker is the BSP barrier. The `barrier`
+//! phase then aggregates metrics, checks termination (no responders and
+//! no pending messages, the program's tolerance, or the superstep
+//! budget), evaluates the hybrid switching condition (`evaluate(...)` in
+//! Algorithm 3), exports the `Q_t` audit, and checkpoints and commits
+//! when the policy says so.
 //!
 //! # Fault tolerance
 //!
@@ -16,21 +19,53 @@
 //! master takes a baseline checkpoint right after loading and further
 //! checkpoints at superstep barriers per the policy. Each checkpoint is
 //! one classified sequential write per worker (see
-//! `hybridgraph_storage::checkpoint`), and the master snapshots its own
-//! superstep cursor — the hybrid [`Switcher`], current mode, and pending
-//! transition step — in memory alongside it.
+//! `hybridgraph_storage::checkpoint`); the master snapshots its own
+//! superstep cursor in memory alongside it and, in durable mode (a
+//! [`BarrierSink`](crate::config::BarrierSink) is installed), commits a
+//! [`MasterState`] write-ahead.
 //!
 //! A worker failure (injected via [`FaultPlan`](crate::fault::FaultPlan)
-//! or genuine) surfaces as a [`WorkerMsg::Failed`] carrying the dead
-//! worker's network [`Endpoint`] back to the master. The master then
-//! broadcasts [`Packet::Abort`] over the control plane so surviving
-//! workers blocked mid-exchange unwind (they answer `Aborted` and stay
-//! alive), respawns the failed worker's thread onto the *same* VFS and
-//! endpoint, orders every worker to roll back to the last checkpoint,
-//! restores its own snapshot, and resumes from the checkpointed
-//! superstep. Without a usable checkpoint — policy `Never`, a lost
-//! endpoint, or an exhausted [`JobConfig::max_recoveries`] budget — the
-//! job returns [`JobError::WorkerFailed`] instead of panicking.
+//! or genuine) surfaces as a `WorkerMsg::Failed` carrying the dead
+//! worker's network [`Endpoint`] back to the master. Mid-superstep the
+//! master broadcasts [`Packet::Abort`] over the control plane so
+//! surviving workers blocked mid-exchange unwind (they answer `Aborted`
+//! and stay alive). Every recovery path is then built from three shared
+//! steps:
+//!
+//! - `respawn` starts a replacement thread on the dead worker's *same*
+//!   VFS and endpoint. Load-phase retry, confined recovery and global
+//!   rollback all use it.
+//! - `await_acks` collects exactly one reply from each addressed worker.
+//!   It asserts the reply's variant and that no worker answers twice or
+//!   out of turn; a death ends the wait as [`JobError::WorkerFailed`].
+//! - `rollback_to(cut, workers)` resets the addressed endpoints to the
+//!   current fabric epoch and restores the checkpoint taken at `cut`.
+//!   Global rollback, durable resume and the respawned worker's side of
+//!   confined recovery all use it.
+//!
+//! The master's own state is split in two, and each path rewinds a
+//! different part on purpose. The *cursor* is the switcher, current
+//! mode, pending transition step, completed superstep metrics and
+//! switches, the adaptive-checkpoint accumulator and the count of audit
+//! records already traced. The *ledger* is the recovery metrics, the
+//! recoveries used, the MTBF evidence, the fabric epoch and the
+//! cumulative logical bytes.
+//!
+//! - Global rollback rewinds the cursor to the snapshot taken at the cut
+//!   and keeps the ledger.
+//! - Durable resume restores both from the committed [`MasterState`].
+//! - Confined recovery keeps the cursor and re-runs the failed superstep
+//!   under the same step kind.
+//!
+//! Without a usable checkpoint (policy `Never`, a lost endpoint, or an
+//! exhausted [`JobConfig::max_recoveries`] budget) the job returns
+//! [`JobError::WorkerFailed`] instead of panicking.
+//!
+//! A panic in user code (a vertex program's `init` or `update`) is
+//! caught on the worker's thread and reported as a failure without an
+//! endpoint, so it is never recoverable: the job returns
+//! [`JobError::WorkerFailed`] with the error `panic: <message>` instead
+//! of leaving the master waiting on a dead thread.
 //!
 //! # Confined recovery
 //!
@@ -49,6 +84,7 @@
 //! undoable (`pull`'s LRU cache, `pushM`'s order-sensitive online
 //! combining) — the master falls back to the global rollback above.
 
+use crate::blockexec::BlockClassification;
 use crate::config::{CheckpointPolicy, JobConfig, Mode};
 use crate::fault::{FaultPhase, MasterKillPoint};
 use crate::metrics::{
@@ -64,16 +100,19 @@ use crate::snapshot::{adaptive_spacing_secs, MasterState, MtbfEstimator};
 use crate::switch::{self, b_lower_bound, q_metric, AsyncCostInputs, CostInputs, Switcher};
 use crate::worker::{Worker, WorkerLoadReport, WorkerSeed};
 use hybridgraph_graph::{partition::vblock_counts, BlockLayout, Graph, Partition, WorkerId};
-use hybridgraph_net::fabric::{Endpoint, Fabric, NetSnapshot};
+use hybridgraph_net::fabric::{ControlPlane, Endpoint, Fabric, NetSnapshot, NetStats};
 use hybridgraph_net::packet::Packet;
-use hybridgraph_obs::{secs_to_us, QtTiers};
+use hybridgraph_obs::{secs_to_us, ArgValue, QtTiers};
+use hybridgraph_storage::checkpoint::{has_checkpoint, remove_checkpoint};
 use hybridgraph_storage::msg_log::{self, MsgLogReader};
 use hybridgraph_storage::vfs::{DirVfs, MemVfs, Vfs};
 use hybridgraph_storage::{IoSnapshot, Record};
 use std::fmt;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// The outcome of a job: final vertex values plus everything measured.
@@ -206,6 +245,7 @@ impl From<io::Error> for JobError {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Cmd {
     Step {
         kind: StepKind,
@@ -276,8 +316,13 @@ enum WorkerMsg<V> {
     },
 }
 
-/// Master-side state captured alongside each checkpoint so a rollback
-/// also rewinds the superstep cursor and the hybrid switching engine.
+/// A worker death as the master receives it: the worker, its error, and
+/// the endpoint it handed back, if any.
+type Failure = (usize, String, Option<Box<Endpoint>>);
+
+/// The cursor half of the master, captured alongside each checkpoint so
+/// a global rollback also rewinds the superstep cursor and the hybrid
+/// switching engine.
 struct MasterSnapshot {
     switcher: Switcher,
     cur: Mode,
@@ -286,58 +331,1227 @@ struct MasterSnapshot {
     switches_len: usize,
 }
 
-/// Orders every worker to checkpoint `superstep`, waits for all acks, and
-/// records bytes/IO into `recovery`. Returns the largest per-worker
-/// checkpoint size (the adaptive policy's cost estimate input).
-fn checkpoint_all<V>(
-    cmd_txs: &[Sender<Cmd>],
-    rep_rx: &Receiver<WorkerMsg<V>>,
-    vfss: &[Arc<dyn Vfs>],
-    recovery: &mut RecoveryMetrics,
-    superstep: u64,
-    prune: Option<u64>,
-) -> Result<u64, JobError> {
-    let before: Vec<IoSnapshot> = vfss.iter().map(|v| v.stats().snapshot()).collect();
-    for tx in cmd_txs {
-        tx.send(Cmd::Checkpoint { superstep, prune })
-            .expect("worker gone");
-    }
-    let mut max_bytes = 0u64;
-    let mut acked = vec![false; cmd_txs.len()];
-    for _ in 0..cmd_txs.len() {
-        match rep_rx.recv().expect("workers hung up during checkpoint") {
-            WorkerMsg::Checkpointed(i, bytes) => {
-                assert!(!acked[i], "duplicate checkpoint ack from worker {i}");
-                acked[i] = true;
-                recovery.checkpoint_bytes += bytes;
-                max_bytes = max_bytes.max(bytes);
+/// A job's fixed inputs: everything a (re)spawned worker is built from.
+struct Job<'g, P: VertexProgram> {
+    program: Arc<P>,
+    graph: &'g Graph,
+    reverse: Option<Graph>,
+    partition: Arc<Partition>,
+    layout: Arc<BlockLayout>,
+    classification: Option<Arc<BlockClassification>>,
+    /// Each worker's disk. A respawned worker thread reattaches to the
+    /// same (simulated or real) disk — that is what makes its checkpoints
+    /// reachable after the thread died. A durable service passes its own
+    /// disks in (`worker_disks`), which is what makes them reachable
+    /// after the *master process* died.
+    vfss: Vec<Arc<dyn Vfs>>,
+    cfg: JobConfig,
+}
+
+impl<'g, P: VertexProgram> Job<'g, P> {
+    fn new(program: Arc<P>, graph: &'g Graph, cfg: JobConfig) -> Result<Self, JobError> {
+        let t = cfg.workers;
+        let combinable = program.combiner().is_some() && cfg.combining;
+        let partition = Arc::new(Partition::range(graph.num_vertices(), t));
+        let counts = match cfg.vblocks_per_worker {
+            Some(k) => vec![k.max(1); t],
+            None if cfg.memory_limited() => {
+                vblock_counts(graph, &partition, cfg.buffer_messages, combinable)
             }
-            WorkerMsg::Failed { index, error, .. } => {
+            None => vec![1; t],
+        };
+        let layout = Arc::new(BlockLayout::new(&partition, &counts));
+        let reverse = matches!(cfg.mode, Mode::Pull).then(|| graph.reverse());
+        // Async jobs classify every vertex boundary/interior against the
+        // VE-BLOCK layout once, master-side; workers share the read-only
+        // view (a respawned worker reattaches to the same classification).
+        let classification = matches!(cfg.mode, Mode::Async)
+            .then(|| Arc::new(BlockClassification::classify(graph, &layout)));
+        let vfss = match &cfg.worker_disks {
+            Some(d) => {
+                assert_eq!(d.0.len(), t, "worker_disks count must match workers");
+                d.0.clone()
+            }
+            None => (0..t)
+                .map(|i| -> io::Result<Arc<dyn Vfs>> {
+                    Ok(match &cfg.disk_root {
+                        Some(root) => Arc::new(DirVfs::new(root.join(format!("w{i}")))?),
+                        None => Arc::new(MemVfs::new()),
+                    })
+                })
+                .collect::<io::Result<_>>()?,
+        };
+        Ok(Job {
+            program,
+            graph,
+            reverse,
+            partition,
+            layout,
+            classification,
+            vfss,
+            cfg,
+        })
+    }
+}
+
+/// A reply filter for [`Crew::await_acks`] that takes the
+/// `WorkerMsg::$variant` acknowledgement and hands any other reply back.
+macro_rules! ack {
+    ($variant:ident) => {
+        |msg| match msg {
+            WorkerMsg::$variant(i, ..) => Ok(i),
+            other => Err(other),
+        }
+    };
+}
+
+/// The master's end of the worker threads: one command channel per
+/// worker and the reply channel they all share.
+struct Crew<'scope, 'env, P: VertexProgram> {
+    scope: &'scope Scope<'scope, 'env>,
+    job: &'env Job<'env, P>,
+    cmd_txs: Vec<Sender<Cmd>>,
+    /// Kept for the whole job so late respawns can still clone it.
+    rep_tx: Sender<WorkerMsg<P::Value>>,
+    rep_rx: Receiver<WorkerMsg<P::Value>>,
+}
+
+impl<'scope, 'env, P: VertexProgram> Crew<'scope, 'env, P> {
+    fn start(
+        scope: &'scope Scope<'scope, 'env>,
+        job: &'env Job<'env, P>,
+        eps: Vec<Endpoint>,
+    ) -> Self {
+        let (rep_tx, rep_rx) = channel();
+        let mut crew = Crew {
+            scope,
+            job,
+            cmd_txs: Vec::new(),
+            rep_tx,
+            rep_rx,
+        };
+        crew.cmd_txs = eps
+            .into_iter()
+            .enumerate()
+            .map(|(i, ep)| crew.spawn(i, ep))
+            .collect();
+        crew
+    }
+
+    /// Starts worker `i` on `ep` and returns its command sender. A panic
+    /// in user code is caught on the thread and reported as a death
+    /// without an endpoint, which no recovery path can use: the job fails
+    /// with [`JobError::WorkerFailed`] instead of waiting on a dead thread.
+    fn spawn(&self, i: usize, ep: Endpoint) -> Sender<Cmd> {
+        let job = self.job;
+        let seed = WorkerSeed {
+            id: WorkerId::from(i),
+            program: Arc::clone(&job.program),
+            graph: job.graph,
+            reverse: job.reverse.as_ref(),
+            partition: Arc::clone(&job.partition),
+            layout: Arc::clone(&job.layout),
+            cfg: job.cfg.clone(),
+            ep,
+            vfs: Arc::clone(&job.vfss[i]),
+            classification: job.classification.clone(),
+        };
+        let (cmd_tx, cmd_rx) = channel();
+        let rep_tx = self.rep_tx.clone();
+        self.scope.spawn(move || {
+            let run = AssertUnwindSafe(|| worker_main(seed, cmd_rx, &rep_tx));
+            if let Err(payload) = panic::catch_unwind(run) {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or(payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string payload");
+                let error = format!("panic: {msg}");
+                let failed = WorkerMsg::Failed {
+                    index: i,
+                    error,
+                    endpoint: None,
+                };
+                rep_tx.send(failed).ok();
+            }
+        });
+        cmd_tx
+    }
+
+    /// Sends `cmd` to every worker `to` selects, then awaits their
+    /// replies. A worker that already died has its `Failed` reply queued,
+    /// so a send it cannot receive is not an error.
+    fn round(
+        &self,
+        to: impl Fn(usize) -> bool,
+        cmd: Cmd,
+        superstep: u64,
+        phase: &str,
+        take: impl FnMut(WorkerMsg<P::Value>) -> Result<usize, WorkerMsg<P::Value>>,
+    ) -> Result<(), JobError> {
+        for (i, tx) in self.cmd_txs.iter().enumerate() {
+            if to(i) {
+                tx.send(cmd).ok();
+            }
+        }
+        self.await_acks(to, superstep, phase, take)
+    }
+
+    /// Awaits exactly one reply from every worker `from` selects. `take`
+    /// consumes an expected reply and returns the worker it came from;
+    /// any other reply it hands back ends the wait — a death as
+    /// [`JobError::WorkerFailed`] at `superstep`, anything else as a
+    /// protocol violation.
+    fn await_acks(
+        &self,
+        from: impl Fn(usize) -> bool,
+        superstep: u64,
+        phase: &str,
+        mut take: impl FnMut(WorkerMsg<P::Value>) -> Result<usize, WorkerMsg<P::Value>>,
+    ) -> Result<(), JobError> {
+        let mut waiting: Vec<bool> = (0..self.cmd_txs.len()).map(from).collect();
+        for _ in 0..waiting.iter().filter(|w| **w).count() {
+            match take(self.rep_rx.recv().expect("the crew holds a reply sender")) {
+                Ok(i) => {
+                    assert!(
+                        waiting[i],
+                        "duplicate or unexpected {phase} reply from worker {i}"
+                    );
+                    waiting[i] = false;
+                }
+                Err(WorkerMsg::Failed { index, error, .. }) => {
+                    return Err(JobError::WorkerFailed {
+                        worker: index,
+                        superstep,
+                        error,
+                    })
+                }
+                Err(_) => unreachable!("unexpected message during {phase}"),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The master of one job. Its state splits into the superstep *cursor*,
+/// which a global rollback rewinds to the last cut, and the recovery
+/// *ledger*, which only a durable resume restores (see the module docs).
+struct Master<'scope, 'env, P: VertexProgram> {
+    job: &'env Job<'env, P>,
+    crew: Crew<'scope, 'env, P>,
+    control: ControlPlane,
+    net_stats: Arc<NetStats>,
+    /// Cluster-wide message-buffer capacity (the paper's `B`).
+    b_total: u64,
+    max_steps: u64,
+    // The cursor.
+    superstep: u64,
+    cur: Mode,
+    switcher: Switcher,
+    pending_kind: Option<StepKind>,
+    steps: Vec<SuperstepMetrics>,
+    switches: Vec<(u64, Mode, Mode)>,
+    accum_step_secs: f64,
+    audit_seen: usize,
+    // The ledger.
+    recovery: RecoveryMetrics,
+    recoveries_used: u64,
+    mtbf: MtbfEstimator,
+    /// Fabric epoch: bumped on every recovery so ARQ frames still in
+    /// flight from before a failure are recognizably stale.
+    epoch: u64,
+    cum_logical: u64,
+    // The last cut: in durable mode the previous cut is kept until the
+    // *next* cut's commit lands (retention 2), so the log never points
+    // at pruned worker files no matter where a crash falls.
+    last_checkpoint: Option<u64>,
+    prev_checkpoint: Option<u64>,
+    last_ckpt_worker_bytes: u64,
+    snapshot: Option<MasterSnapshot>,
+    // Bases of the per-barrier network and fault-counter deltas.
+    net_base: NetSnapshot,
+    faults_base: (u64, u64, u64),
+}
+
+impl<'scope, 'env, P: VertexProgram> Master<'scope, 'env, P> {
+    fn new(job: &'env Job<'env, P>, scope: &'scope Scope<'scope, 'env>) -> Self {
+        let cfg = &job.cfg;
+        let t = cfg.workers;
+        let (endpoints, net_stats, control) = Fabric::mesh_with_control(t);
+        // A seeded network-fault schedule attached to the fault plan makes
+        // every endpoint's wire unreliable; the ARQ layer absorbs it.
+        if let Some(np) = cfg.fault_plan.as_ref().and_then(|p| p.net_plan()) {
+            for ep in &endpoints {
+                ep.install_faults(Arc::clone(np));
+            }
+        }
+        // Cooperative pacing: under a multi-job scheduler the master holds
+        // a grant for each unit of work (load, one superstep, collect) so
+        // the cross-job interleaving replays deterministically. Unpaced
+        // jobs skip every hook. This grant covers the load phase: workers
+        // load as soon as they are spawned.
+        if let Some(p) = &cfg.pacer {
+            p.acquire();
+        }
+        let crew = Crew::start(scope, job, endpoints);
+        Master {
+            job,
+            crew,
+            control,
+            net_base: net_stats.snapshot(),
+            net_stats,
+            b_total: if cfg.memory_limited() {
+                (cfg.buffer_messages as u64).saturating_mul(t as u64)
+            } else {
+                u64::MAX / 2
+            },
+            max_steps: job
+                .program
+                .max_supersteps()
+                .unwrap_or(u64::MAX)
+                .min(cfg.max_supersteps),
+            superstep: 0,
+            // The load phase picks the initial mode.
+            cur: cfg.mode,
+            switcher: Switcher::new(Mode::Push, cfg.switch_interval, cfg.switch_threshold),
+            pending_kind: None,
+            steps: Vec::new(),
+            switches: Vec::new(),
+            accum_step_secs: 0.0,
+            audit_seen: 0,
+            recovery: RecoveryMetrics::default(),
+            recoveries_used: 0,
+            mtbf: MtbfEstimator::new(),
+            epoch: 0,
+            cum_logical: 0,
+            last_checkpoint: None,
+            prev_checkpoint: None,
+            last_ckpt_worker_bytes: 0,
+            snapshot: None,
+            faults_base: (0, 0, 0),
+        }
+    }
+
+    /// The job's configuration, borrowed for the job's lifetime rather
+    /// than the master's.
+    fn cfg(&self) -> &'env JobConfig {
+        &self.job.cfg
+    }
+
+    fn acquire(&self) {
+        if let Some(p) = &self.cfg().pacer {
+            p.acquire();
+        }
+    }
+
+    fn release(&self, secs: f64) {
+        if let Some(p) = &self.cfg().pacer {
+            p.release(secs);
+        }
+    }
+
+    /// Seeded master-kill hook: each point fires at most once (also
+    /// across checks), simulating the service process dying there.
+    fn killed(&self, point: MasterKillPoint) -> Result<(), JobError> {
+        match &self.cfg().fault_plan {
+            Some(p) if p.master_kill_at(point) => Err(JobError::Halted { point }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Enters one worker death into the ledger.
+    fn note_failure(&mut self, worker: usize, error: &str) {
+        self.recovery.failures.push(FailureEvent {
+            superstep: self.superstep,
+            worker,
+            error: error.to_owned(),
+        });
+        self.mtbf.observe();
+    }
+
+    /// Replaces a dead worker with a fresh thread on its own endpoint and
+    /// VFS. The failure is fatal instead when the job cannot recover: no
+    /// checkpointing, an exhausted recovery budget, or an endpoint that
+    /// went down with the worker.
+    fn respawn(&mut self, (i, error, endpoint): Failure) -> Result<(), JobError> {
+        let cfg = self.cfg();
+        match endpoint {
+            Some(ep)
+                if cfg.checkpoint != CheckpointPolicy::Never
+                    && self.recoveries_used < cfg.max_recoveries =>
+            {
+                self.recoveries_used += 1;
+                self.crew.cmd_txs[i] = self.crew.spawn(i, *ep);
+                Ok(())
+            }
+            _ => Err(JobError::WorkerFailed {
+                worker: i,
+                superstep: self.superstep,
+                error,
+            }),
+        }
+    }
+
+    /// Respawns every dead worker and waits until each has reloaded.
+    fn respawn_all(&mut self, failures: Vec<Failure>) -> Result<(), JobError> {
+        let dead: Vec<usize> = failures.iter().map(|f| f.0).collect();
+        for f in failures {
+            self.respawn(f)?;
+        }
+        let from = |i| dead.contains(&i);
+        self.crew
+            .await_acks(from, self.superstep, "respawn", ack!(Loaded))
+    }
+
+    /// Rolls the workers `to` selects back to the checkpoint taken at
+    /// `cut`, resetting their endpoints to the current fabric epoch. The
+    /// master's own rewind stays with the caller: the cursor only (global
+    /// rollback), cursor and ledger (durable resume), or nothing
+    /// (confined recovery).
+    fn rollback_to(&mut self, cut: u64, to: impl Fn(usize) -> bool) -> Result<(), JobError> {
+        let cmd = Cmd::Rollback {
+            superstep: cut,
+            epoch: self.epoch,
+        };
+        self.crew
+            .round(to, cmd, self.superstep, "rollback", ack!(RolledBack))
+    }
+
+    /// Load phase: waits until every worker has built its stores, then
+    /// picks the initial mode. Workers do not exchange packets while
+    /// loading, so a load-phase failure needs no abort or rollback:
+    /// respawn and reload.
+    fn load(&mut self) -> Result<(LoadReport, f64), JobError> {
+        let (cfg, graph) = (self.cfg(), self.job.graph);
+        let mut reports = vec![WorkerLoadReport::default(); cfg.workers];
+        let mut pending: Vec<usize> = (0..cfg.workers).collect();
+        while !pending.is_empty() {
+            let mut failed: Vec<Failure> = Vec::new();
+            let from = |i| pending.contains(&i);
+            self.crew.await_acks(from, 0, "load", |msg| match msg {
+                WorkerMsg::Loaded(i, r) => {
+                    reports[i] = *r;
+                    Ok(i)
+                }
+                WorkerMsg::Failed {
+                    index,
+                    error,
+                    endpoint,
+                } => {
+                    failed.push((index, error, endpoint));
+                    Ok(index)
+                }
+                other => Err(other),
+            })?;
+            pending = failed.iter().map(|f| f.0).collect();
+            for f in failed {
+                self.note_failure(f.0, &f.1);
+                self.respawn(f)?;
+            }
+        }
+        // Simulated master crash while loading: the job dies before any
+        // durable cut exists, so a restore re-runs it from scratch.
+        self.killed(MasterKillPoint::Load)?;
+        if let Some(s) = &cfg.trace {
+            assert_eq!(
+                s.num_workers(),
+                cfg.workers,
+                "TraceSink was built for a different worker count"
+            );
+        }
+        self.faults_base = faults_fired(cfg).unwrap_or_default();
+
+        let fragments: u64 = reports.iter().map(|r| r.fragments).sum();
+        // Theorem 2 decides hybrid's initial mode from the message-buffer
+        // capacity. With sufficient memory no message ever spills and the
+        // sign of Q_t is dominated by b-pull's communication gain (§6.1:
+        // "hybrid thereby runs b-pull"), so b-pull starts.
+        let theorem2_mode = if cfg.memory_limited() {
+            switch::initial_mode(self.b_total, graph.num_edges() as u64, fragments)
+        } else {
+            Mode::BPull
+        };
+        let initial = match cfg.mode {
+            Mode::Hybrid => cfg.initial_mode_override.unwrap_or(theorem2_mode),
+            m => m,
+        };
+        self.cur = initial;
+        self.switcher = Switcher::new(
+            if matches!(initial, Mode::Push | Mode::BPull | Mode::Async) {
+                initial
+            } else {
+                Mode::Push
+            },
+            cfg.switch_interval,
+            cfg.switch_threshold,
+        );
+        let classification = self.job.classification.as_ref();
+        let load = LoadReport {
+            wall_secs: reports.iter().map(|r| r.wall_secs).fold(0.0, f64::max),
+            io: reports
+                .iter()
+                .fold(IoSnapshot::default(), |acc, r| acc.plus(&r.io)),
+            fragments,
+            b_lower_bound: b_lower_bound(graph.num_edges() as u64, fragments),
+            num_vblocks: self.job.layout.num_blocks(),
+            initial_mode: initial,
+            num_vertices: graph.num_vertices() as u64,
+            boundary_vertices: classification.map_or(0, |c| c.boundary_total),
+            interior_vertices: classification.map_or(0, |c| c.interior_total),
+        };
+        self.cum_logical = load.io.total_logical_bytes();
+        // Modeled load time: the slowest worker's classified I/O.
+        let modeled_secs = reports
+            .iter()
+            .map(|r| r.io.modeled_secs(&cfg.profile))
+            .fold(0.0, f64::max);
+        Ok((load, modeled_secs))
+    }
+
+    /// Resumes a durable job from its committed cut, or starts a fresh
+    /// one: load span, baseline checkpoint, load grant released.
+    fn resume_or_baseline(&mut self, load: &LoadReport, load_secs: f64) -> Result<(), JobError> {
+        let cfg = self.cfg();
+        match &cfg.resume {
+            Some(state) => self.resume(&state.0)?,
+            None => {
+                if let Some(s) = &cfg.trace {
+                    s.master().span(
+                        "load",
+                        secs_to_us(load_secs),
+                        vec![
+                            ("fragments", load.fragments.into()),
+                            ("vblocks", (load.num_vblocks as u64).into()),
+                            ("b_lower_bound", load.b_lower_bound.into()),
+                            ("initial_mode", load.initial_mode.label().into()),
+                        ],
+                    );
+                }
+                // Baseline checkpoint: any policy but `Never` takes one
+                // right after loading so even a superstep-1 failure has a
+                // cut to roll back to. The load grant is still held at
+                // this cut; a resumed incarnation owes its release.
+                if cfg.checkpoint != CheckpointPolicy::Never {
+                    self.cut(load_secs)?;
+                }
+                self.release(load_secs);
+                if let Some(ps) = &cfg.progress {
+                    ps.loaded(load_secs);
+                }
+                self.check_budgets(0)?;
+            }
+        }
+        self.net_base = self.net_stats.snapshot();
+        Ok(())
+    }
+
+    /// Durable restart. The state is the `MasterState` a previous
+    /// incarnation of this job committed through its barrier sink before
+    /// the master process died. The workers reloaded from scratch —
+    /// byte-identically to the original load (fresh per-job stats, same
+    /// shared stores) — and are rolled onto the committed checkpoint
+    /// while the master restores cursor *and* ledger to the same cut. No
+    /// load span is emitted and no recovery metric moves: this is a
+    /// process restart, not an in-job failure.
+    fn resume(&mut self, state: &[u8]) -> Result<(), JobError> {
+        let (workers, audit_seen, pending_release_secs, trace);
+        MasterState {
+            superstep: self.superstep,
+            prev_checkpoint: self.prev_checkpoint,
+            last_ckpt_worker_bytes: self.last_ckpt_worker_bytes,
+            epoch: self.epoch,
+            workers,
+            cur: self.cur,
+            pending_kind: self.pending_kind,
+            recoveries_used: self.recoveries_used,
+            cum_logical: self.cum_logical,
+            accum_step_secs: self.accum_step_secs,
+            pending_release_secs,
+            audit_seen,
+            switcher: self.switcher,
+            steps: self.steps,
+            switches: self.switches,
+            recovery: self.recovery,
+            mtbf: self.mtbf,
+            trace,
+        } = MasterState::decode(state)?;
+        assert_eq!(
+            workers as usize,
+            self.cfg().workers,
+            "resume state was captured for a different worker count"
+        );
+        self.audit_seen = audit_seen as usize;
+        self.last_checkpoint = Some(self.superstep);
+        // Replace the trace rings wholesale with the committed contents:
+        // erases the re-load's duplicate events and restores every
+        // track's clock to the cut.
+        if let Some(s) = &self.cfg().trace {
+            s.restore_states(
+                trace
+                    .as_ref()
+                    .expect("traced job resumed from an untraced state"),
+            );
+        }
+        // The master kill that necessitated this resume is one observed
+        // failure for the fault-aware spacing.
+        self.mtbf.observe();
+        self.snapshot = Some(self.snapshot_cursor());
+        self.rollback_to(self.superstep, |_| true)?;
+        self.release(pending_release_secs);
+        Ok(())
+    }
+
+    fn snapshot_cursor(&self) -> MasterSnapshot {
+        MasterSnapshot {
+            switcher: self.switcher.clone(),
+            cur: self.cur,
+            pending_kind: self.pending_kind,
+            steps_len: self.steps.len(),
+            switches_len: self.switches.len(),
+        }
+    }
+
+    /// Runs the next superstep. Returns `Ok(false)` once the superstep
+    /// budget is spent or the job has converged.
+    fn step(&mut self) -> Result<bool, JobError> {
+        if self.superstep >= self.max_steps {
+            return Ok(false);
+        }
+        let cfg = self.cfg();
+        self.superstep += 1;
+        let superstep = self.superstep;
+        self.acquire();
+        let kind = match cfg.mode {
+            Mode::Push => StepKind::Push,
+            Mode::PushM => StepKind::PushM,
+            Mode::Pull => StepKind::Pull,
+            Mode::BPull => StepKind::BPull,
+            Mode::Hybrid | Mode::Async => self.pending_kind.take().unwrap_or(match self.cur {
+                Mode::Push => StepKind::Push,
+                Mode::BPull => StepKind::BPull,
+                Mode::Async => StepKind::Async,
+                _ => unreachable!("hybrid and async alternate push, b-pull and async"),
+            }),
+        };
+        let t_step = Instant::now();
+        let base_us = cfg.trace.as_ref().map_or(0, |s| s.master().clock_us());
+        let cmd = Cmd::Step {
+            kind,
+            superstep,
+            base_us,
+        };
+        // Exactly one terminal reply per worker. On the first failure,
+        // broadcast an abort so peers blocked on the dead worker's
+        // packets unwind instead of deadlocking.
+        let mut reports = vec![StepReport::default(); cfg.workers];
+        let mut failures: Vec<Failure> = Vec::new();
+        let control = &self.control;
+        let take = |msg| match msg {
+            WorkerMsg::Step(i, r) => {
+                reports[i] = *r;
+                Ok(i)
+            }
+            WorkerMsg::Aborted(i) => Ok(i),
+            WorkerMsg::Failed {
+                index,
+                error,
+                endpoint,
+            } => {
+                if failures.is_empty() {
+                    control.broadcast(Packet::Abort);
+                }
+                failures.push((index, error, endpoint));
+                Ok(index)
+            }
+            other => Err(other),
+        };
+        self.crew
+            .round(|_| true, cmd, superstep, "superstep", take)?;
+        if failures.is_empty() {
+            self.barrier(kind, &reports, t_step.elapsed().as_secs_f64())
+        } else {
+            self.recover(kind, failures)?;
+            Ok(true)
+        }
+    }
+
+    /// Recovers from the workers that died in the current superstep:
+    /// confined when a single death allows it, a global rollback
+    /// otherwise.
+    fn recover(&mut self, kind: StepKind, failures: Vec<Failure>) -> Result<(), JobError> {
+        let cfg = self.cfg();
+        let superstep = self.superstep;
+        for (i, error, _) in &failures {
+            self.note_failure(*i, error);
+        }
+        let ck = match self.last_checkpoint {
+            Some(ck) if cfg.checkpoint != CheckpointPolicy::Never => ck,
+            _ => {
+                let (worker, error, _) = failures.into_iter().next().unwrap();
                 return Err(JobError::WorkerFailed {
-                    worker: index,
+                    worker,
                     superstep,
                     error,
                 });
             }
-            _ => unreachable!("unexpected message during checkpoint"),
+        };
+        self.epoch += 1;
+        // Confined recovery (Pregel-style): a *single* death with message
+        // logging on, a known step kind for every replayed superstep, a
+        // mode whose receive-side state is undoable, and a readable log
+        // segment at every survivor for every superstep the dead worker
+        // replays (a missing or truncated one fails validation). Anything
+        // else falls back to global rollback.
+        let (dead, _, endpoint) = &failures[0];
+        let replayed = || (ck + 1)..superstep;
+        let confined = cfg.message_logging
+            && failures.len() == 1
+            && !matches!(cfg.mode, Mode::Pull | Mode::PushM | Mode::Async)
+            && endpoint.is_some()
+            && self.recoveries_used < cfg.max_recoveries
+            && replayed().all(|s| self.steps.iter().any(|m| m.superstep == s))
+            && self.job.vfss.iter().enumerate().all(|(i, vfs)| {
+                i == *dead || replayed().all(|s| MsgLogReader::open(vfs.as_ref(), s).is_ok())
+            });
+        if confined {
+            self.recover_confined(kind, ck, failures)
+        } else {
+            self.rollback_global(ck, failures)
         }
     }
-    for (vfs, base) in vfss.iter().zip(&before) {
-        let delta = vfs.stats().snapshot().delta(base);
-        recovery.checkpoint_io = recovery.checkpoint_io.plus(&delta);
+
+    /// Confined recovery: only the dead worker rolls back to `ck` and
+    /// replays `ck+1..t-1` from the survivors' logs, the survivors revert
+    /// superstep `t` in memory, and the master keeps its cursor.
+    fn recover_confined(
+        &mut self,
+        kind: StepKind,
+        ck: u64,
+        failures: Vec<Failure>,
+    ) -> Result<(), JobError> {
+        let (superstep, epoch) = (self.superstep, self.epoch);
+        let dead = failures[0].0;
+        let survivor = |i: usize| i != dead;
+        self.respawn_all(failures)?;
+        // Only the respawned worker reloads the checkpoint.
+        self.rollback_to(ck, |i| i == dead)?;
+        // Survivors revert exactly the failed superstep from their
+        // in-memory pre-images — no checkpoint I/O.
+        let undo = Cmd::UndoStep { epoch };
+        self.crew
+            .round(survivor, undo, superstep, "undo", ack!(Undone))?;
+        // Replay ck+1..t-1 on the respawned worker: survivors re-serve
+        // their logged packets (never re-executing), the dead worker
+        // re-computes with sends suppressed.
+        for s in (ck + 1)..superstep {
+            let kind = self
+                .steps
+                .iter()
+                .find(|m| m.superstep == s)
+                .expect("validated before recovering")
+                .kind;
+            let serve = Cmd::ReplayServe {
+                superstep: s,
+                target: dead,
+            };
+            self.crew
+                .round(survivor, serve, superstep, "replay", ack!(Served))?;
+            let replay = Cmd::ReplayStep { kind, superstep: s };
+            let respawned = |i| i == dead;
+            self.crew
+                .round(respawned, replay, superstep, "replay", ack!(Replayed))?;
+        }
+        // The master keeps its cursor: completed supersteps stay
+        // aggregated, the switcher is untouched, and the failed superstep
+        // re-runs under the same kind.
+        if self.cfg().mode == Mode::Hybrid {
+            self.pending_kind = Some(kind);
+        }
+        let replayed = (superstep - 1).saturating_sub(ck);
+        let rec = &mut self.recovery;
+        rec.confined_recoveries += 1;
+        rec.checkpoint_restores += 1;
+        rec.replayed_supersteps += replayed;
+        rec.recomputed_supersteps += 1;
+        self.recovered(
+            "recovery.confined",
+            vec![
+                ("failed_superstep", superstep.into()),
+                ("worker", (dead as u64).into()),
+                ("checkpoint", ck.into()),
+                ("replayed", replayed.into()),
+            ],
+        );
+        self.superstep -= 1;
+        Ok(())
     }
-    recovery.checkpoints_taken += 1;
-    Ok(max_bytes)
+
+    /// Global rollback: respawns every dead worker, rolls all workers back
+    /// to `ck`, and rewinds the master's cursor — never its ledger — to
+    /// the snapshot taken there.
+    fn rollback_global(&mut self, ck: u64, failures: Vec<Failure>) -> Result<(), JobError> {
+        let superstep = self.superstep;
+        let t = self.cfg().workers as u64;
+        self.respawn_all(failures)?;
+        // Roll every worker (survivors and respawns alike) back to the
+        // cut. The rollback handler resets the endpoint to the new epoch —
+        // clearing stale packets (including the abort we broadcast) *and*
+        // un-acked ARQ frames that would otherwise retransmit into the
+        // re-execution.
+        self.rollback_to(ck, |_| true)?;
+        let snap = self
+            .snapshot
+            .as_ref()
+            .expect("a checkpoint always has a master snapshot");
+        self.switcher = snap.switcher.clone();
+        self.cur = snap.cur;
+        self.pending_kind = snap.pending_kind;
+        self.steps.truncate(snap.steps_len);
+        self.switches.truncate(snap.switches_len);
+        self.accum_step_secs = 0.0;
+        // Audit records past the cut will be regenerated (and re-emitted)
+        // as the supersteps re-execute.
+        self.audit_seen = self.audit_seen.min(self.switcher.audit().len());
+        self.recovery.rollbacks += 1;
+        self.recovery.checkpoint_restores += t;
+        self.recovery.recomputed_supersteps += superstep - ck;
+        self.recovered(
+            "recovery.rollback",
+            vec![
+                ("failed_superstep", superstep.into()),
+                ("checkpoint", ck.into()),
+                ("restores", t.into()),
+            ],
+        );
+        self.superstep = ck;
+        Ok(())
+    }
+
+    /// The common tail of an in-job recovery: re-bases the barrier deltas
+    /// on the post-recovery counters, marks the recovery on the master
+    /// track, and hands back the superstep's grant.
+    fn recovered(&mut self, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+        self.net_base = self.net_stats.snapshot();
+        self.faults_base = faults_fired(self.cfg()).unwrap_or(self.faults_base);
+        if let Some(s) = &self.cfg().trace {
+            s.master().instant(name, args);
+        }
+        self.release(0.0);
+    }
+
+    /// The barrier after a clean superstep (the master's side of
+    /// Algorithm 3): aggregate the reports, enforce the budgets, check
+    /// termination, evaluate the switch, trace the audit, checkpoint.
+    /// Returns `Ok(false)` once the job has converged.
+    fn barrier(
+        &mut self,
+        kind: StepKind,
+        reports: &[StepReport],
+        wall: f64,
+    ) -> Result<bool, JobError> {
+        let (job, cfg, superstep) = (self.job, self.cfg(), self.superstep);
+        let net_now = self.net_stats.snapshot();
+        let net_delta = net_now.delta(&self.net_base);
+        self.net_base = net_now;
+        self.recovery.msg_log_bytes += reports.iter().map(|r| r.msg_log_bytes).sum::<u64>();
+        let ctx = AggCtx {
+            cfg,
+            b_total: self.b_total,
+            msg_bytes: 4 + P::Message::BYTES as u64,
+            combinable: job.program.combiner().is_some() && cfg.combining,
+        };
+        let (metrics, q_inputs) = aggregate(
+            superstep,
+            kind,
+            reports,
+            &net_delta,
+            &ctx,
+            &mut self.switcher,
+            wall,
+        );
+        // The async extension term's inputs: the duplicated-compute side
+        // is exactly what the pseudo-rounds did beyond the first sweep,
+        // the savings side is what a strict replacement superstep would
+        // have streamed.
+        let asy_inputs = AsyncCostInputs {
+            extra_rounds: metrics.asy.pseudo_rounds.saturating_sub(1),
+            value_io_bytes: metrics.sem.value_update_bytes,
+            interior_msg_bytes: metrics.asy.interior_msg_bytes,
+            dup_updates: metrics.asy.interior_updates,
+            dup_messages: metrics.asy.interior_messages,
+            cpu_us_per_vertex: cfg.cpu_us_per_vertex,
+            cpu_us_per_message: cfg.cpu_us_per_message,
+        };
+        // Physical/logical ratio of this superstep's classified I/O,
+        // recorded alongside every Q_t audit entry (1.0 with no codec).
+        let io_ratio = ratio(metrics.io.total_bytes(), metrics.io.total_logical_bytes());
+        self.trace_step(kind, &metrics);
+        let step_secs = metrics.modeled_secs;
+        let (step_logical, step_memory) = (metrics.io.total_logical_bytes(), metrics.memory_bytes);
+        // Tolerance-based termination: once the largest per-vertex
+        // residual of a superstep falls to `eps`, further supersteps
+        // cannot move the result past the program's own tolerance.
+        // Guarded past superstep 1 so an initially-quiet frontier does not
+        // end the job before any message flowed.
+        let done = (metrics.pending_messages == 0 && metrics.responders == 0)
+            || job
+                .program
+                .tolerance()
+                .is_some_and(|eps| superstep >= 2 && metrics.max_residual <= eps);
+        self.steps.push(metrics);
+        self.mtbf.advance(step_secs);
+        self.release(step_secs);
+        if let Some(ps) = &cfg.progress {
+            ps.superstep(superstep, kind.mode(), step_secs);
+        }
+        self.cum_logical += step_logical;
+        self.check_budgets(step_memory)?;
+        if done {
+            return Ok(false);
+        }
+        if matches!(cfg.mode, Mode::Hybrid | Mode::Async) && superstep + 1 < self.max_steps {
+            self.switch(&q_inputs, &asy_inputs, step_secs, io_ratio);
+        }
+        self.trace_audits();
+        self.maybe_cut(step_secs)?;
+        Ok(true)
+    }
+
+    /// Per-job budget enforcement: cumulative logical bytes (the
+    /// device-independent measure, so codecs don't mask overuse) and the
+    /// superstep's summed memory high-water mark.
+    fn check_budgets(&self, step_memory: u64) -> Result<(), JobError> {
+        let over = |resource, used, budget: Option<u64>| match budget {
+            Some(budget) if used > budget => Err(JobError::BudgetExceeded {
+                superstep: self.superstep,
+                resource,
+                used,
+                budget,
+            }),
+            _ => Ok(()),
+        };
+        over("logical_io", self.cum_logical, self.cfg().logical_io_budget)?;
+        over("memory", step_memory, self.cfg().memory_budget)
+    }
+
+    /// Marks the superstep on the trace. The sink is purely additive: it
+    /// reads counters the cost model maintains anyway, so tracing on/off
+    /// changes no byte count and no Q_t decision. Timestamps are *modeled*
+    /// time (DeviceProfile seconds → µs), which makes two same-seed runs
+    /// emit byte-identical traces regardless of wall-clock jitter.
+    fn trace_step(&mut self, kind: StepKind, metrics: &SuperstepMetrics) {
+        let superstep = self.superstep;
+        let faults = faults_fired(self.cfg()).map(|now| {
+            let base = std::mem::replace(&mut self.faults_base, now);
+            (now.0 - base.0, now.1 - base.1, now.2 - base.2)
+        });
+        let Some(s) = &self.cfg().trace else {
+            return;
+        };
+        let m = s.master();
+        let dur = secs_to_us(metrics.modeled_secs);
+        let end_us = m.clock_us() + dur;
+        m.span(
+            kind.label(),
+            dur,
+            vec![
+                ("superstep", superstep.into()),
+                ("q_metric", metrics.q_metric.into()),
+                ("updated", metrics.updated.into()),
+                ("messages", metrics.messages_produced.into()),
+                ("io_bytes", metrics.io.total_bytes().into()),
+            ],
+        );
+        m.instant("barrier", vec![("superstep", superstep.into())]);
+        let nsh = s.net();
+        nsh.counter_at(
+            end_us,
+            "net.bytes",
+            vec![
+                ("remote", metrics.net_out_bytes.into()),
+                ("local", metrics.net_local_bytes.into()),
+            ],
+        );
+        if let Some((drops, duplicates, delays)) = faults.filter(|d| d.0 + d.1 + d.2 > 0) {
+            nsh.instant_at(
+                end_us,
+                "arq.faults",
+                vec![
+                    ("superstep", superstep.into()),
+                    ("drops", drops.into()),
+                    ("duplicates", duplicates.into()),
+                    ("delays", delays.into()),
+                ],
+            );
+        }
+    }
+
+    /// Evaluates the switching condition (`evaluate(...)` in Algorithm 3)
+    /// and, on a switch, schedules the transition step.
+    fn switch(&mut self, q: &CostInputs, asy: &AsyncCostInputs, step_secs: f64, io_ratio: f64) {
+        let (cfg, superstep) = (self.cfg(), self.superstep);
+        let decision = if cfg.mode == Mode::Async {
+            self.switcher
+                .decide_async(superstep, &cfg.profile, q, asy, step_secs, io_ratio)
+        } else {
+            self.switcher
+                .decide(superstep, &cfg.profile, q, step_secs, io_ratio)
+        };
+        // Break the I/O ratio out by access class for jobs running with a
+        // codec: the audit then shows *which* I/O tier the codec
+        // compressed (adjacency extents are sequential reads; value point
+        // reads stay 1.0).
+        if !cfg.codec.is_none() {
+            let io = &self.steps.last().expect("step just pushed").io;
+            self.switcher.annotate_tiers(QtTiers {
+                seq_read: ratio(io.seq_read_bytes, io.seq_read_logical_bytes),
+                seq_write: ratio(io.seq_write_bytes, io.seq_write_logical_bytes),
+                rand_read: ratio(io.rand_read_bytes, io.rand_read_logical_bytes),
+                rand_write: ratio(io.rand_write_bytes, io.rand_write_logical_bytes),
+            });
+        }
+        let Some(to) = decision else {
+            return;
+        };
+        let from = self.cur;
+        // The transition step that reconciles the two legs' message state.
+        // push→async needs none: push already delivered to every
+        // destination, async's next sweep just drains the inbox.
+        self.pending_kind = match (from, to) {
+            (Mode::BPull, Mode::Push | Mode::Async) => Some(StepKind::BPullThenPush),
+            (Mode::Push | Mode::Async, Mode::BPull) => Some(StepKind::PushNoSend),
+            (Mode::Async, Mode::Push) => Some(StepKind::AsyncThenPush),
+            (Mode::Push, Mode::Async) => None,
+            _ => unreachable!("switcher only moves between push, b-pull and async"),
+        };
+        self.cur = to;
+        self.switches.push((superstep + 1, from, to));
+        if let Some(s) = &cfg.trace {
+            s.control().instant_at(
+                s.master().clock_us(),
+                "switch",
+                vec![
+                    ("at_superstep", (superstep + 1).into()),
+                    ("from", from.label().into()),
+                    ("to", to.label().into()),
+                ],
+            );
+        }
+    }
+
+    /// Every Switcher evaluation (including holds and too-early refusals)
+    /// lands on the control track as one audit instant.
+    fn trace_audits(&mut self) {
+        let Some(s) = &self.cfg().trace else {
+            return;
+        };
+        let audits = self.switcher.audit();
+        if self.audit_seen < audits.len() {
+            let ts = s.master().clock_us();
+            let c = s.control();
+            for a in &audits[self.audit_seen..] {
+                c.instant_at(
+                    ts,
+                    "qt",
+                    vec![
+                        ("superstep", a.superstep.into()),
+                        ("q", a.q.into()),
+                        ("verdict", a.verdict.label().into()),
+                        ("mode_before", a.mode_before.into()),
+                        ("mode_after", a.mode_after.into()),
+                    ],
+                );
+            }
+            self.audit_seen = audits.len();
+        }
+    }
+
+    /// Checkpoint decision at the barrier. `EveryK` is the classic fixed
+    /// interval; `Adaptive` is a Young-style rule driven by the
+    /// deterministic cost model: checkpoint once the modeled compute time
+    /// since the last cut outweighs `factor` times the modeled cost of
+    /// writing one.
+    fn maybe_cut(&mut self, step_secs: f64) -> Result<(), JobError> {
+        let cfg = self.cfg();
+        let take = match cfg.checkpoint {
+            CheckpointPolicy::Never => false,
+            CheckpointPolicy::EveryK(k) => self.superstep.is_multiple_of(k.max(1)),
+            CheckpointPolicy::Adaptive => {
+                self.accum_step_secs += step_secs;
+                let write_secs = cfg
+                    .profile
+                    .seq_write_secs(self.last_ckpt_worker_bytes.max(1));
+                // Fault-aware (opt-in): observed kill rates tighten the
+                // spacing via Young's approximation; without evidence or
+                // with the flag off this is exactly the plain
+                // `factor × write_secs` rule.
+                self.accum_step_secs
+                    >= adaptive_spacing_secs(
+                        cfg.adaptive_checkpoint_factor,
+                        write_secs,
+                        self.mtbf.mtbf(),
+                        cfg.fault_aware_checkpoint,
+                    )
+            }
+        };
+        if take {
+            return self.cut(0.0);
+        }
+        // Barriers without a checkpoint can still be kill points: the
+        // restarted job then resumes from the last committed cut further
+        // back.
+        self.killed(MasterKillPoint::MidBarrier(self.superstep))?;
+        self.killed(MasterKillPoint::BetweenGrants(self.superstep))
+    }
+
+    /// Checkpoints the current superstep: every worker writes its file,
+    /// the master snapshots its cursor, and a durable master commits its
+    /// state. `pending_release_secs` is the pacer time the master still
+    /// owes at this cut (the load grant at the baseline, 0 after a step).
+    fn cut(&mut self, pending_release_secs: f64) -> Result<(), JobError> {
+        let (job, cfg, superstep) = (self.job, self.cfg(), self.superstep);
+        // Durable mode prunes with retention 2: the cut *before* the
+        // previous one goes, because the previous cut must stay on disk
+        // until this cut's WAL record commits — a crash between the
+        // worker files and the commit resumes from the previous cut.
+        let prune = match cfg.barrier_sink {
+            Some(_) => self.prev_checkpoint,
+            None => self.last_checkpoint,
+        };
+        let before: Vec<IoSnapshot> = job.vfss.iter().map(|v| v.stats().snapshot()).collect();
+        let mut max_bytes = 0u64;
+        let recovery = &mut self.recovery;
+        let cmd = Cmd::Checkpoint { superstep, prune };
+        let take = |msg| match msg {
+            WorkerMsg::Checkpointed(i, bytes) => {
+                recovery.checkpoint_bytes += bytes;
+                max_bytes = max_bytes.max(bytes);
+                Ok(i)
+            }
+            other => Err(other),
+        };
+        self.crew
+            .round(|_| true, cmd, superstep, "checkpoint", take)?;
+        for (vfs, base) in job.vfss.iter().zip(&before) {
+            let delta = vfs.stats().snapshot().delta(base);
+            recovery.checkpoint_io = recovery.checkpoint_io.plus(&delta);
+        }
+        recovery.checkpoints_taken += 1;
+        self.last_ckpt_worker_bytes = max_bytes;
+        if let Some(s) = &cfg.trace {
+            s.master().span(
+                "checkpoint",
+                secs_to_us(cfg.profile.seq_write_secs(max_bytes)),
+                vec![
+                    ("superstep", superstep.into()),
+                    ("max_worker_bytes", max_bytes.into()),
+                ],
+            );
+        }
+        self.prev_checkpoint = self.last_checkpoint;
+        self.last_checkpoint = Some(superstep);
+        self.snapshot = Some(self.snapshot_cursor());
+        self.accum_step_secs = 0.0;
+        let Some(sink) = &cfg.barrier_sink else {
+            return Ok(());
+        };
+        // Write-ahead ordering: worker checkpoint files are durable
+        // *before* the master's commit record. The seeded kills bracket
+        // the commit — `MidBarrier` models dying with the files written
+        // but the record missing, `BetweenGrants` right after the record.
+        let state = MasterState {
+            superstep,
+            prev_checkpoint: self.prev_checkpoint,
+            last_ckpt_worker_bytes: max_bytes,
+            epoch: self.epoch,
+            workers: cfg.workers as u32,
+            cur: self.cur,
+            pending_kind: self.pending_kind,
+            recoveries_used: self.recoveries_used,
+            cum_logical: self.cum_logical,
+            accum_step_secs: self.accum_step_secs,
+            pending_release_secs,
+            audit_seen: self.audit_seen as u64,
+            switcher: self.switcher.clone(),
+            steps: self.steps.clone(),
+            switches: self.switches.clone(),
+            recovery: self.recovery.clone(),
+            mtbf: self.mtbf,
+            trace: cfg.trace.as_ref().map(|s| s.export_states()),
+        }
+        .encode();
+        self.killed(MasterKillPoint::MidBarrier(superstep))?;
+        sink.commit(superstep, &state)?;
+        self.killed(MasterKillPoint::BetweenGrants(superstep))
+    }
+
+    /// Collect phase: gathers every worker's values in vertex order and
+    /// assembles the job's metrics.
+    fn collect(mut self, load: LoadReport) -> Result<JobResult<P>, JobError> {
+        let cfg = self.cfg();
+        self.acquire();
+        let mut parts: Vec<(u32, Vec<P::Value>)> = Vec::with_capacity(cfg.workers);
+        let take = |msg| match msg {
+            WorkerMsg::Values(i, base, vals) => {
+                parts.push((base, vals));
+                Ok(i)
+            }
+            other => Err(other),
+        };
+        self.crew
+            .round(|_| true, Cmd::Collect, self.superstep, "collect", take)?;
+        for tx in &self.crew.cmd_txs {
+            tx.send(Cmd::Exit).ok();
+        }
+        self.release(0.0);
+        parts.sort_by_key(|(base, _)| *base);
+        let mut values = Vec::with_capacity(self.job.graph.num_vertices());
+        for (_, vals) in parts {
+            values.extend(vals);
+        }
+        debug_assert_eq!(values.len(), self.job.graph.num_vertices());
+
+        self.recovery.mtbf_secs = self.mtbf.mtbf().unwrap_or(0.0);
+        let ns = self.net_stats.snapshot();
+        Ok(JobResult {
+            values,
+            metrics: JobMetrics {
+                load,
+                qt_audit: self.switcher.audit().to_vec(),
+                steps: self.steps,
+                switches: self.switches,
+                profile: cfg.profile,
+                recovery: self.recovery,
+                net_overhead: NetOverhead {
+                    retransmitted_bytes: ns.retransmitted_bytes,
+                    duplicate_drops: ns.duplicate_drops,
+                    dropped_frames: ns.dropped_frames,
+                    delayed_frames: ns.delayed_frames,
+                    acks_sent: ns.acks_sent,
+                    replayed_bytes: ns.replayed_bytes,
+                },
+            },
+        })
+    }
 }
 
-/// True if every survivor holds a readable log segment for every
-/// superstep the failed worker must replay (`ck+1..t`). A missing or
-/// truncated segment fails validation and recovery falls back to the
-/// global rollback.
-fn confined_logs_ok(vfss: &[Arc<dyn Vfs>], failed: usize, ck: u64, failed_step: u64) -> bool {
-    vfss.iter().enumerate().all(|(i, vfs)| {
-        i == failed || ((ck + 1)..failed_step).all(|s| MsgLogReader::open(vfs.as_ref(), s).is_ok())
-    })
+/// The network fault plan's fired counters, if the job has one. They are
+/// deterministic at superstep barriers (each selected frame fires its
+/// drops before the receiver can complete the step; duplicates/delays
+/// fire on the first attempt only), so their deltas may go into the
+/// trace.
+fn faults_fired(cfg: &JobConfig) -> Option<(u64, u64, u64)> {
+    let p = cfg.fault_plan.as_ref()?.net_plan()?;
+    Some((p.drops_fired(), p.duplicates_fired(), p.delays_fired()))
+}
+
+/// Physical over logical bytes; 1.0 when nothing was read or written.
+fn ratio(physical: u64, logical: u64) -> f64 {
+    if logical == 0 {
+        1.0
+    } else {
+        physical as f64 / logical as f64
+    }
 }
 
 /// Runs `program` over `graph` under `cfg` and returns the final values
@@ -357,1158 +1571,14 @@ pub fn run_job<P: VertexProgram>(
         cfg.mode != Mode::PushM || program.combiner().is_some(),
         "pushM (message online computing) requires a combiner"
     );
-    let n = graph.num_vertices();
-    assert!(n > 0, "graph must have vertices");
-    let t = cfg.workers;
-    let combinable = program.combiner().is_some() && cfg.combining;
-    let msg_bytes = 4 + P::Message::BYTES as u64;
-
-    let partition = Arc::new(Partition::range(n, t));
-    let counts = match cfg.vblocks_per_worker {
-        Some(k) => vec![k.max(1); t],
-        None if cfg.memory_limited() => {
-            vblock_counts(graph, &partition, cfg.buffer_messages, combinable)
-        }
-        None => vec![1; t],
-    };
-    let layout = Arc::new(BlockLayout::new(&partition, &counts));
-    let reverse = matches!(cfg.mode, Mode::Pull).then(|| graph.reverse());
-    // Async jobs classify every vertex boundary/interior against the
-    // VE-BLOCK layout once, master-side; workers share the read-only view
-    // (a respawned worker reattaches to the same classification).
-    let classification = matches!(cfg.mode, Mode::Async).then(|| {
-        Arc::new(crate::blockexec::BlockClassification::classify(
-            graph, &layout,
-        ))
-    });
-
-    // The master holds each worker's VFS so a respawned worker thread
-    // reattaches to the same (simulated or real) disk — that is what
-    // makes its checkpoints reachable after the thread died. A durable
-    // service passes its own disks in (`worker_disks`), which is what
-    // makes them reachable after the *master process* died.
-    let mut vfss: Vec<Arc<dyn Vfs>> = Vec::with_capacity(t);
-    match &cfg.worker_disks {
-        Some(d) => {
-            assert_eq!(d.0.len(), t, "worker_disks count must match workers");
-            vfss.extend(d.0.iter().map(Arc::clone));
-        }
-        None => {
-            for i in 0..t {
-                vfss.push(match &cfg.disk_root {
-                    Some(root) => Arc::new(DirVfs::new(root.join(format!("w{i}")))?),
-                    None => Arc::new(MemVfs::new()),
-                });
-            }
-        }
-    }
-
-    let (endpoints, net_stats, control) = Fabric::mesh_with_control(t);
-    // A seeded network-fault schedule attached to the fault plan makes
-    // every endpoint's wire unreliable; the ARQ layer absorbs it.
-    if let Some(np) = cfg.fault_plan.as_ref().and_then(|p| p.net_plan()) {
-        for ep in &endpoints {
-            ep.install_faults(Arc::clone(np));
-        }
-    }
-    let (rep_tx, rep_rx) = channel::<WorkerMsg<P::Value>>();
-
-    std::thread::scope(|scope| -> Result<JobResult<P>, JobError> {
-        let graph_ref = &*graph;
-        let reverse_ref = reverse.as_ref();
-        // Spawns (or respawns) worker `i` on `ep` with a fresh command
-        // channel receiver. The master keeps `rep_tx` alive for the whole
-        // job so late respawns can still clone it.
-        let spawn_worker = |i: usize, ep: Endpoint, cmd_rx: Receiver<Cmd>| {
-            let seed = WorkerSeed {
-                id: WorkerId::from(i),
-                program: Arc::clone(&program),
-                graph: graph_ref,
-                reverse: reverse_ref,
-                partition: Arc::clone(&partition),
-                layout: Arc::clone(&layout),
-                cfg: cfg.clone(),
-                ep,
-                vfs: Arc::clone(&vfss[i]),
-                classification: classification.clone(),
-            };
-            let rep_tx = rep_tx.clone();
-            scope.spawn(move || worker_main::<P>(seed, cmd_rx, rep_tx));
-        };
-
-        // Cooperative pacing: under a multi-job scheduler the master holds
-        // a grant for each unit of work (load, one superstep, collect) so
-        // the cross-job interleaving replays deterministically. Unpaced
-        // jobs skip every hook.
-        let pacer = cfg.pacer.clone();
-        if let Some(p) = &pacer {
-            p.acquire(); // covers the load phase (workers load on spawn)
-        }
-
-        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(t);
-        let mut pending_rx: Vec<Receiver<Cmd>> = Vec::with_capacity(t);
-        for _ in 0..t {
-            let (tx, rx) = channel::<Cmd>();
-            cmd_txs.push(tx);
-            pending_rx.push(rx);
-        }
-        for (i, (ep, rx)) in endpoints.into_iter().zip(pending_rx).enumerate() {
-            spawn_worker(i, ep, rx);
-        }
-
-        let mut recovery = RecoveryMetrics::default();
-        let mut recoveries_used = 0u64;
-        let mut mtbf = MtbfEstimator::new();
-        // Seeded master-kill hooks: each fires at most once (also across
-        // checks), simulating the service process dying at that point.
-        let master_killed = |point: MasterKillPoint| -> bool {
-            cfg.fault_plan
-                .as_ref()
-                .is_some_and(|p| p.master_kill_at(point))
-        };
-
-        // ---- Load phase -------------------------------------------------
-        // Workers do not exchange packets while loading, so a load-phase
-        // failure needs no abort or rollback: respawn and reload.
-        let mut load_reports: Vec<WorkerLoadReport> = vec![WorkerLoadReport::default(); t];
-        let mut loaded = 0usize;
-        while loaded < t {
-            match rep_rx.recv().expect("workers hung up during load") {
-                WorkerMsg::Loaded(i, r) => {
-                    load_reports[i] = *r;
-                    loaded += 1;
-                }
-                WorkerMsg::Failed {
-                    index,
-                    error,
-                    endpoint,
-                } => {
-                    recovery.failures.push(FailureEvent {
-                        superstep: 0,
-                        worker: index,
-                        error: error.clone(),
-                    });
-                    mtbf.observe();
-                    let recoverable = cfg.checkpoint != CheckpointPolicy::Never
-                        && recoveries_used < cfg.max_recoveries;
-                    match endpoint {
-                        Some(ep) if recoverable => {
-                            recoveries_used += 1;
-                            let (tx, rx) = channel::<Cmd>();
-                            cmd_txs[index] = tx;
-                            spawn_worker(index, *ep, rx);
-                        }
-                        _ => {
-                            return Err(JobError::WorkerFailed {
-                                worker: index,
-                                superstep: 0,
-                                error,
-                            })
-                        }
-                    }
-                }
-                _ => unreachable!("unexpected message during load"),
-            }
-        }
-        // Simulated master crash while loading: the job dies before any
-        // durable cut exists, so a restore re-runs it from scratch.
-        if master_killed(MasterKillPoint::Load) {
-            return Err(JobError::Halted {
-                point: MasterKillPoint::Load,
-            });
-        }
-        // ---- Observability ---------------------------------------------
-        // The sink, when installed, is purely additive: it reads counters
-        // the cost model maintains anyway, so tracing on/off changes no
-        // byte count and no Q_t decision. Timestamps are *modeled* time
-        // (DeviceProfile seconds → µs), which makes two same-seed runs
-        // emit byte-identical traces regardless of wall-clock jitter.
-        let sink = cfg.trace.clone();
-        if let Some(s) = &sink {
-            assert_eq!(
-                s.num_workers(),
-                t,
-                "TraceSink was built for a different worker count"
-            );
-        }
-        let net_plan = cfg.fault_plan.as_ref().and_then(|p| p.net_plan()).cloned();
-        // Fault-plan fired counters are deterministic at superstep
-        // barriers (each selected frame fires its drops before the
-        // receiver can complete the step; duplicates/delays fire on the
-        // first attempt only), so their deltas may go into the trace.
-        let fired = |p: &Arc<hybridgraph_net::netfault::NetFaultPlan>| {
-            (p.drops_fired(), p.duplicates_fired(), p.delays_fired())
-        };
-        let mut faults_base = net_plan.as_ref().map(&fired).unwrap_or((0, 0, 0));
-        let mut audit_seen = 0usize;
-
-        let fragments: u64 = load_reports.iter().map(|r| r.fragments).sum();
-        let b_total: u64 = if cfg.memory_limited() {
-            (cfg.buffer_messages as u64).saturating_mul(t as u64)
-        } else {
-            u64::MAX / 2
-        };
-        // Theorem 2 decides hybrid's initial mode from the message-buffer
-        // capacity. With sufficient memory no message ever spills and the
-        // sign of Q_t is dominated by b-pull's communication gain (§6.1:
-        // "hybrid thereby runs b-pull"), so b-pull starts.
-        let theorem2_mode = if cfg.memory_limited() {
-            switch::initial_mode(b_total, graph.num_edges() as u64, fragments)
-        } else {
-            Mode::BPull
-        };
-        let initial = match cfg.mode {
-            Mode::Hybrid => cfg.initial_mode_override.unwrap_or(theorem2_mode),
-            m => m,
-        };
-        let load = LoadReport {
-            wall_secs: load_reports.iter().map(|r| r.wall_secs).fold(0.0, f64::max),
-            io: load_reports
-                .iter()
-                .fold(IoSnapshot::default(), |acc, r| acc.plus(&r.io)),
-            fragments,
-            b_lower_bound: b_lower_bound(graph.num_edges() as u64, fragments),
-            num_vblocks: layout.num_blocks(),
-            initial_mode: initial,
-            num_vertices: n as u64,
-            boundary_vertices: classification.as_ref().map_or(0, |c| c.boundary_total),
-            interior_vertices: classification.as_ref().map_or(0, |c| c.interior_total),
-        };
-        // Modeled load time: the slowest worker's classified I/O.
-        let load_modeled_secs = load_reports
-            .iter()
-            .map(|r| r.io.modeled_secs(&cfg.profile))
-            .fold(0.0, f64::max);
-        // ---- Resume (durable restart) -----------------------------------
-        // A resume state is the `MasterState` a previous incarnation of
-        // this job committed through its barrier sink before the master
-        // process died. The workers above reloaded from scratch —
-        // byte-identically to the original load (fresh per-job stats,
-        // same shared stores) — and are now rolled onto the committed
-        // checkpoint while the master rewinds itself to the same cut. No
-        // load span is emitted and no recovery metric moves: this is a
-        // process restart, not an in-job failure.
-        let resume_state = match &cfg.resume {
-            Some(r) => Some(MasterState::decode(&r.0[..])?),
-            None => None,
-        };
-        if resume_state.is_none() {
-            if let Some(s) = &sink {
-                s.master().span(
-                    "load",
-                    secs_to_us(load_modeled_secs),
-                    vec![
-                        ("fragments", load.fragments.into()),
-                        ("vblocks", (load.num_vblocks as u64).into()),
-                        ("b_lower_bound", load.b_lower_bound.into()),
-                        ("initial_mode", load.initial_mode.label().into()),
-                    ],
-                );
-            }
-        }
-
-        // ---- Superstep loop ---------------------------------------------
-        let mut cur = initial;
-        let mut switcher = Switcher::new(
-            if matches!(initial, Mode::Push | Mode::BPull | Mode::Async) {
-                initial
-            } else {
-                Mode::Push
-            },
-            cfg.switch_interval,
-            cfg.switch_threshold,
-        );
-        let mut pending_kind: Option<StepKind> = None;
-        let mut steps: Vec<SuperstepMetrics> = Vec::new();
-        let mut switches: Vec<(u64, Mode, Mode)> = Vec::new();
-        let max_steps = program
-            .max_supersteps()
-            .unwrap_or(u64::MAX)
-            .min(cfg.max_supersteps);
-
-        // Baseline checkpoint: any policy but `Never` takes one right
-        // after loading so even a superstep-1 failure has a cut to roll
-        // back to. In durable mode (a barrier sink is installed) every
-        // checkpoint is followed by a write-ahead commit of the master's
-        // own state; the previous cut is kept until the *next* cut's
-        // commit lands (retention 2), so the log never points at pruned
-        // worker files no matter where a crash falls.
-        let mut last_checkpoint: Option<u64> = None;
-        let mut prev_checkpoint: Option<u64> = None;
-        let mut master_snapshot: Option<MasterSnapshot> = None;
-        let mut last_ckpt_worker_bytes = 0u64;
-        let mut accum_step_secs = 0.0f64;
-        let mut cum_logical = load.io.total_logical_bytes();
-        // Fabric epoch: bumped on every recovery so ARQ frames still in
-        // flight from before a failure are recognizably stale.
-        let mut epoch = 0u64;
-        let mut superstep = 0u64;
-        if let Some(st) = resume_state {
-            assert_eq!(
-                st.workers as usize, t,
-                "resume state was captured for a different worker count"
-            );
-            let s0 = st.superstep;
-            // Replace the trace rings wholesale with the committed
-            // contents: erases the re-load's duplicate events and
-            // restores every track's clock to the cut.
-            if let Some(s) = &sink {
-                let states = st
-                    .trace
-                    .as_ref()
-                    .expect("traced job resumed from an untraced state");
-                s.restore_states(states);
-            }
-            cur = st.cur;
-            switcher = st.switcher;
-            pending_kind = st.pending_kind;
-            steps = st.steps;
-            switches = st.switches;
-            recovery = st.recovery;
-            recoveries_used = st.recoveries_used;
-            cum_logical = st.cum_logical;
-            accum_step_secs = st.accum_step_secs;
-            epoch = st.epoch;
-            audit_seen = st.audit_seen as usize;
-            last_checkpoint = Some(s0);
-            prev_checkpoint = st.prev_checkpoint;
-            last_ckpt_worker_bytes = st.last_ckpt_worker_bytes;
-            mtbf = st.mtbf;
-            // The master kill that necessitated this resume is one
-            // observed failure for the fault-aware spacing.
-            mtbf.observe();
-            master_snapshot = Some(MasterSnapshot {
-                switcher: switcher.clone(),
-                cur,
-                pending_kind,
-                steps_len: steps.len(),
-                switches_len: switches.len(),
-            });
-            for tx in &cmd_txs {
-                tx.send(Cmd::Rollback {
-                    superstep: s0,
-                    epoch,
-                })
-                .expect("worker gone");
-            }
-            let mut rolled = vec![false; t];
-            for _ in 0..t {
-                match rep_rx.recv().expect("workers hung up during resume") {
-                    WorkerMsg::RolledBack(i) => {
-                        assert!(!rolled[i], "duplicate resume ack from worker {i}");
-                        rolled[i] = true;
-                    }
-                    WorkerMsg::Failed { index, error, .. } => {
-                        return Err(JobError::WorkerFailed {
-                            worker: index,
-                            superstep: s0,
-                            error,
-                        })
-                    }
-                    _ => unreachable!("unexpected message during resume"),
-                }
-            }
-            if let Some(p) = &pacer {
-                p.release(st.pending_release_secs);
-            }
-            superstep = s0;
-        } else {
-            if cfg.checkpoint != CheckpointPolicy::Never {
-                last_ckpt_worker_bytes =
-                    checkpoint_all(&cmd_txs, &rep_rx, &vfss, &mut recovery, 0, None)?;
-                if let Some(s) = &sink {
-                    s.master().span(
-                        "checkpoint",
-                        secs_to_us(cfg.profile.seq_write_secs(last_ckpt_worker_bytes)),
-                        vec![
-                            ("superstep", 0u64.into()),
-                            ("max_worker_bytes", last_ckpt_worker_bytes.into()),
-                        ],
-                    );
-                }
-                last_checkpoint = Some(0);
-                master_snapshot = Some(MasterSnapshot {
-                    switcher: switcher.clone(),
-                    cur,
-                    pending_kind,
-                    steps_len: 0,
-                    switches_len: 0,
-                });
-                if let Some(bs) = &cfg.barrier_sink {
-                    let state = MasterState {
-                        superstep: 0,
-                        prev_checkpoint: None,
-                        last_ckpt_worker_bytes,
-                        epoch,
-                        workers: t as u32,
-                        cur,
-                        pending_kind,
-                        recoveries_used,
-                        cum_logical,
-                        accum_step_secs,
-                        // The load grant is still held at this cut; a
-                        // resumed incarnation owes its release.
-                        pending_release_secs: load_modeled_secs,
-                        audit_seen: audit_seen as u64,
-                        switcher: switcher.clone(),
-                        steps: steps.clone(),
-                        switches: switches.clone(),
-                        recovery: recovery.clone(),
-                        mtbf,
-                        trace: sink.as_ref().map(|s| s.export_states()),
-                    }
-                    .encode();
-                    if master_killed(MasterKillPoint::MidBarrier(0)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::MidBarrier(0),
-                        });
-                    }
-                    bs.commit(0, &state)?;
-                    if master_killed(MasterKillPoint::BetweenGrants(0)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::BetweenGrants(0),
-                        });
-                    }
-                }
-            }
-            if let Some(p) = &pacer {
-                p.release(load_modeled_secs);
-            }
-            if let Some(ps) = &cfg.progress {
-                ps.loaded(load_modeled_secs);
-            }
-            // Per-job budget enforcement: cumulative logical bytes (the
-            // device-independent measure, so codecs don't mask overuse)
-            // and the per-superstep summed memory high-water mark.
-            if let Some(b) = cfg.logical_io_budget {
-                if cum_logical > b {
-                    return Err(JobError::BudgetExceeded {
-                        superstep: 0,
-                        resource: "logical_io",
-                        used: cum_logical,
-                        budget: b,
-                    });
-                }
-            }
-        }
-
-        let mut net_base = net_stats.snapshot();
-        while superstep < max_steps {
-            superstep += 1;
-            if let Some(p) = &pacer {
-                p.acquire();
-            }
-            let kind = match cfg.mode {
-                Mode::Push => StepKind::Push,
-                Mode::PushM => StepKind::PushM,
-                Mode::Pull => StepKind::Pull,
-                Mode::BPull => StepKind::BPull,
-                Mode::Hybrid => pending_kind.take().unwrap_or(match cur {
-                    Mode::Push => StepKind::Push,
-                    Mode::BPull => StepKind::BPull,
-                    _ => unreachable!("hybrid only alternates push and b-pull"),
-                }),
-                Mode::Async => pending_kind.take().unwrap_or(match cur {
-                    Mode::Push => StepKind::Push,
-                    Mode::BPull => StepKind::BPull,
-                    Mode::Async => StepKind::Async,
-                    _ => unreachable!("async alternates push, b-pull and async"),
-                }),
-            };
-            let t_step = Instant::now();
-            let base_us = sink.as_ref().map(|s| s.master().clock_us()).unwrap_or(0);
-            for tx in &cmd_txs {
-                tx.send(Cmd::Step {
-                    kind,
-                    superstep,
-                    base_us,
-                })
-                .expect("worker gone");
-            }
-            // Collect exactly one terminal response per worker. On the
-            // first failure, broadcast an abort so peers blocked on the
-            // dead worker's packets unwind instead of deadlocking.
-            let mut reports: Vec<StepReport> = vec![StepReport::default(); t];
-            let mut failures: Vec<(usize, String, Option<Box<Endpoint>>)> = Vec::new();
-            let mut responded = vec![false; t];
-            let mut abort_sent = false;
-            for _ in 0..t {
-                match rep_rx.recv().expect("workers hung up mid-superstep") {
-                    WorkerMsg::Step(i, r) => {
-                        assert!(!responded[i], "duplicate step report from worker {i}");
-                        responded[i] = true;
-                        reports[i] = *r;
-                    }
-                    WorkerMsg::Aborted(i) => {
-                        assert!(!responded[i], "duplicate abort ack from worker {i}");
-                        responded[i] = true;
-                    }
-                    WorkerMsg::Failed {
-                        index,
-                        error,
-                        endpoint,
-                    } => {
-                        if !abort_sent {
-                            control.broadcast(Packet::Abort);
-                            abort_sent = true;
-                        }
-                        failures.push((index, error, endpoint));
-                    }
-                    _ => unreachable!("unexpected message during superstep"),
-                }
-            }
-
-            if !failures.is_empty() {
-                for (i, e, _) in &failures {
-                    recovery.failures.push(FailureEvent {
-                        superstep,
-                        worker: *i,
-                        error: e.clone(),
-                    });
-                    mtbf.observe();
-                }
-                let ck = match last_checkpoint {
-                    Some(ck) if cfg.checkpoint != CheckpointPolicy::Never => ck,
-                    _ => {
-                        let (w, e, _) = failures.into_iter().next().unwrap();
-                        return Err(JobError::WorkerFailed {
-                            worker: w,
-                            superstep,
-                            error: e,
-                        });
-                    }
-                };
-                epoch += 1;
-
-                // Confined recovery (Pregel-style): a *single* death with
-                // message logging on, valid log segments at every
-                // survivor, a known step kind for every replayed
-                // superstep, and a mode whose receive-side state is
-                // undoable. Anything else falls back to global rollback.
-                let confined = cfg.message_logging
-                    && failures.len() == 1
-                    && !matches!(cfg.mode, Mode::Pull | Mode::PushM | Mode::Async)
-                    && failures[0].2.is_some()
-                    && recoveries_used < cfg.max_recoveries
-                    && ((ck + 1)..superstep).all(|s| steps.iter().any(|m| m.superstep == s))
-                    && confined_logs_ok(&vfss, failures[0].0, ck, superstep);
-                if confined {
-                    let (fi, _error, endpoint) = failures.into_iter().next().unwrap();
-                    let fail_here = |msg: WorkerMsg<P::Value>| match msg {
-                        WorkerMsg::Failed { index, error, .. } => Err(JobError::WorkerFailed {
-                            worker: index,
-                            superstep,
-                            error,
-                        }),
-                        _ => unreachable!("unexpected message during confined recovery"),
-                    };
-                    recoveries_used += 1;
-                    let (tx, rx) = channel::<Cmd>();
-                    cmd_txs[fi] = tx;
-                    spawn_worker(fi, *endpoint.unwrap(), rx);
-                    match rep_rx.recv().expect("respawned worker hung up") {
-                        WorkerMsg::Loaded(i, _) => debug_assert_eq!(i, fi),
-                        other => return fail_here(other),
-                    }
-                    // Only the respawned worker reloads the checkpoint.
-                    cmd_txs[fi]
-                        .send(Cmd::Rollback {
-                            superstep: ck,
-                            epoch,
-                        })
-                        .expect("worker gone");
-                    match rep_rx.recv().expect("worker hung up during rollback") {
-                        WorkerMsg::RolledBack(i) => debug_assert_eq!(i, fi),
-                        other => return fail_here(other),
-                    }
-                    // Survivors revert exactly the failed superstep from
-                    // their in-memory pre-images — no checkpoint I/O.
-                    for (i, tx) in cmd_txs.iter().enumerate() {
-                        if i != fi {
-                            tx.send(Cmd::UndoStep { epoch }).expect("worker gone");
-                        }
-                    }
-                    for _ in 0..t - 1 {
-                        match rep_rx.recv().expect("workers hung up during undo") {
-                            WorkerMsg::Undone(i) => debug_assert_ne!(i, fi),
-                            other => return fail_here(other),
-                        }
-                    }
-                    // Replay ck+1..t-1 on the respawned worker: survivors
-                    // re-serve their logged packets (never re-executing),
-                    // the dead worker re-computes with sends suppressed.
-                    for s in (ck + 1)..superstep {
-                        let kind_s = steps
-                            .iter()
-                            .find(|m| m.superstep == s)
-                            .expect("validated above")
-                            .kind;
-                        for (i, tx) in cmd_txs.iter().enumerate() {
-                            if i != fi {
-                                tx.send(Cmd::ReplayServe {
-                                    superstep: s,
-                                    target: fi,
-                                })
-                                .expect("worker gone");
-                            }
-                        }
-                        for _ in 0..t - 1 {
-                            match rep_rx.recv().expect("workers hung up during replay") {
-                                WorkerMsg::Served(i) => debug_assert_ne!(i, fi),
-                                other => return fail_here(other),
-                            }
-                        }
-                        cmd_txs[fi]
-                            .send(Cmd::ReplayStep {
-                                kind: kind_s,
-                                superstep: s,
-                            })
-                            .expect("worker gone");
-                        match rep_rx.recv().expect("worker hung up during replay") {
-                            WorkerMsg::Replayed(i) => debug_assert_eq!(i, fi),
-                            other => return fail_here(other),
-                        }
-                    }
-                    // The master keeps its cursor: completed supersteps
-                    // stay aggregated, the switcher is untouched, and the
-                    // failed superstep re-runs under the same kind.
-                    if cfg.mode == Mode::Hybrid {
-                        pending_kind = Some(kind);
-                    }
-                    recovery.confined_recoveries += 1;
-                    recovery.checkpoint_restores += 1;
-                    recovery.replayed_supersteps += (superstep - 1).saturating_sub(ck);
-                    recovery.recomputed_supersteps += 1;
-                    net_base = net_stats.snapshot();
-                    if let Some(p) = &net_plan {
-                        faults_base = fired(p);
-                    }
-                    if let Some(s) = &sink {
-                        s.master().instant(
-                            "recovery.confined",
-                            vec![
-                                ("failed_superstep", superstep.into()),
-                                ("worker", (fi as u64).into()),
-                                ("checkpoint", ck.into()),
-                                ("replayed", (superstep - 1).saturating_sub(ck).into()),
-                            ],
-                        );
-                    }
-                    if let Some(p) = &pacer {
-                        p.release(0.0);
-                    }
-                    superstep -= 1;
-                    continue;
-                }
-
-                // Global rollback: respawn every failed worker onto its
-                // original endpoint and VFS; a lost endpoint or an
-                // exhausted budget is fatal.
-                let mut respawned = 0usize;
-                for (i, error, endpoint) in failures {
-                    let fatal_budget = recoveries_used >= cfg.max_recoveries;
-                    match endpoint {
-                        Some(ep) if !fatal_budget => {
-                            recoveries_used += 1;
-                            let (tx, rx) = channel::<Cmd>();
-                            cmd_txs[i] = tx;
-                            spawn_worker(i, *ep, rx);
-                            respawned += 1;
-                        }
-                        _ => {
-                            return Err(JobError::WorkerFailed {
-                                worker: i,
-                                superstep,
-                                error,
-                            })
-                        }
-                    }
-                }
-                for _ in 0..respawned {
-                    match rep_rx.recv().expect("respawned worker hung up") {
-                        WorkerMsg::Loaded(..) => {}
-                        WorkerMsg::Failed { index, error, .. } => {
-                            return Err(JobError::WorkerFailed {
-                                worker: index,
-                                superstep,
-                                error,
-                            })
-                        }
-                        _ => unreachable!("unexpected message during respawn"),
-                    }
-                }
-                // Roll every worker (survivors and respawns alike) back
-                // to the checkpointed cut. The rollback handler resets
-                // the endpoint to the new epoch — clearing stale packets
-                // (including the abort we broadcast) *and* un-acked ARQ
-                // frames that would otherwise retransmit into the
-                // re-execution.
-                for tx in &cmd_txs {
-                    tx.send(Cmd::Rollback {
-                        superstep: ck,
-                        epoch,
-                    })
-                    .expect("worker gone");
-                }
-                let mut rolled = vec![false; t];
-                for _ in 0..t {
-                    match rep_rx.recv().expect("workers hung up during rollback") {
-                        WorkerMsg::RolledBack(i) => {
-                            assert!(!rolled[i], "duplicate rollback ack from worker {i}");
-                            rolled[i] = true;
-                        }
-                        WorkerMsg::Failed { index, error, .. } => {
-                            return Err(JobError::WorkerFailed {
-                                worker: index,
-                                superstep,
-                                error,
-                            })
-                        }
-                        _ => unreachable!("unexpected message during rollback"),
-                    }
-                }
-                // Rewind the master to the same cut.
-                let snap = master_snapshot
-                    .as_ref()
-                    .expect("a checkpoint always has a master snapshot");
-                switcher = snap.switcher.clone();
-                cur = snap.cur;
-                pending_kind = snap.pending_kind;
-                steps.truncate(snap.steps_len);
-                switches.truncate(snap.switches_len);
-                recovery.rollbacks += 1;
-                recovery.checkpoint_restores += t as u64;
-                recovery.recomputed_supersteps += superstep - ck;
-                accum_step_secs = 0.0;
-                net_base = net_stats.snapshot();
-                if let Some(p) = &net_plan {
-                    faults_base = fired(p);
-                }
-                if let Some(s) = &sink {
-                    s.master().instant(
-                        "recovery.rollback",
-                        vec![
-                            ("failed_superstep", superstep.into()),
-                            ("checkpoint", ck.into()),
-                            ("restores", (t as u64).into()),
-                        ],
-                    );
-                    // The switcher rewound to the cut; audit records past
-                    // it will be regenerated (and re-emitted) as the
-                    // supersteps re-execute.
-                    audit_seen = audit_seen.min(switcher.audit().len());
-                }
-                if let Some(p) = &pacer {
-                    p.release(0.0);
-                }
-                superstep = ck;
-                continue;
-            }
-
-            let wall = t_step.elapsed().as_secs_f64();
-            let net_now = net_stats.snapshot();
-            let net_delta = net_now.delta(&net_base);
-            net_base = net_now;
-            recovery.msg_log_bytes += reports.iter().map(|r| r.msg_log_bytes).sum::<u64>();
-
-            let ctx = AggCtx {
-                cfg: &cfg,
-                b_total,
-                msg_bytes,
-                combinable,
-            };
-            let (metrics, q_inputs) = aggregate(
-                superstep,
-                kind,
-                &reports,
-                &net_delta,
-                &ctx,
-                &mut switcher,
-                wall,
-            );
-            let pending = metrics.pending_messages;
-            let responders = metrics.responders;
-            let step_secs = metrics.modeled_secs;
-            let step_max_residual = metrics.max_residual;
-            // The async extension term's inputs: the duplicated-compute
-            // side is exactly what the pseudo-rounds did beyond the first
-            // sweep, the savings side is what a strict replacement
-            // superstep would have streamed.
-            let asy_inputs = AsyncCostInputs {
-                extra_rounds: metrics.asy.pseudo_rounds.saturating_sub(1),
-                value_io_bytes: metrics.sem.value_update_bytes,
-                interior_msg_bytes: metrics.asy.interior_msg_bytes,
-                dup_updates: metrics.asy.interior_updates,
-                dup_messages: metrics.asy.interior_messages,
-                cpu_us_per_vertex: cfg.cpu_us_per_vertex,
-                cpu_us_per_message: cfg.cpu_us_per_message,
-            };
-            // Physical/logical ratio of this superstep's classified I/O,
-            // recorded alongside every Q_t audit entry (1.0 with no codec).
-            let step_io_ratio = {
-                let logical = metrics.io.total_logical_bytes();
-                if logical == 0 {
-                    1.0
-                } else {
-                    metrics.io.total_bytes() as f64 / logical as f64
-                }
-            };
-            if let Some(s) = &sink {
-                let m = s.master();
-                let dur = secs_to_us(step_secs);
-                let end_us = m.clock_us() + dur;
-                m.span(
-                    kind.label(),
-                    dur,
-                    vec![
-                        ("superstep", superstep.into()),
-                        ("q_metric", metrics.q_metric.into()),
-                        ("updated", metrics.updated.into()),
-                        ("messages", metrics.messages_produced.into()),
-                        ("io_bytes", metrics.io.total_bytes().into()),
-                    ],
-                );
-                m.instant("barrier", vec![("superstep", superstep.into())]);
-                let nsh = s.net();
-                nsh.counter_at(
-                    end_us,
-                    "net.bytes",
-                    vec![
-                        ("remote", metrics.net_out_bytes.into()),
-                        ("local", metrics.net_local_bytes.into()),
-                    ],
-                );
-                if let Some(p) = &net_plan {
-                    let now = fired(p);
-                    let d = (
-                        now.0 - faults_base.0,
-                        now.1 - faults_base.1,
-                        now.2 - faults_base.2,
-                    );
-                    faults_base = now;
-                    if d.0 + d.1 + d.2 > 0 {
-                        nsh.instant_at(
-                            end_us,
-                            "arq.faults",
-                            vec![
-                                ("superstep", superstep.into()),
-                                ("drops", d.0.into()),
-                                ("duplicates", d.1.into()),
-                                ("delays", d.2.into()),
-                            ],
-                        );
-                    }
-                }
-            } else if let Some(p) = &net_plan {
-                faults_base = fired(p);
-            }
-            let step_logical = metrics.io.total_logical_bytes();
-            let step_memory = metrics.memory_bytes;
-            steps.push(metrics);
-            mtbf.advance(step_secs);
-            if let Some(p) = &pacer {
-                p.release(step_secs);
-            }
-            if let Some(ps) = &cfg.progress {
-                ps.superstep(superstep, kind.mode(), step_secs);
-            }
-            cum_logical += step_logical;
-            if let Some(b) = cfg.logical_io_budget {
-                if cum_logical > b {
-                    return Err(JobError::BudgetExceeded {
-                        superstep,
-                        resource: "logical_io",
-                        used: cum_logical,
-                        budget: b,
-                    });
-                }
-            }
-            if let Some(b) = cfg.memory_budget {
-                if step_memory > b {
-                    return Err(JobError::BudgetExceeded {
-                        superstep,
-                        resource: "memory",
-                        used: step_memory,
-                        budget: b,
-                    });
-                }
-            }
-
-            if pending == 0 && responders == 0 {
-                break;
-            }
-            // Tolerance-based termination: once the largest per-vertex
-            // residual of a superstep falls to `eps`, further supersteps
-            // cannot move the result past the program's own tolerance.
-            // Guarded past superstep 1 so an initially-quiet frontier
-            // does not end the job before any message flowed.
-            if let Some(eps) = program.tolerance() {
-                if superstep >= 2 && step_max_residual <= eps {
-                    break;
-                }
-            }
-            if matches!(cfg.mode, Mode::Hybrid | Mode::Async) && superstep + 1 < max_steps {
-                let decision = if cfg.mode == Mode::Async {
-                    switcher.decide_async(
-                        superstep,
-                        &cfg.profile,
-                        &q_inputs,
-                        &asy_inputs,
-                        step_secs,
-                        step_io_ratio,
-                    )
-                } else {
-                    switcher.decide(superstep, &cfg.profile, &q_inputs, step_secs, step_io_ratio)
-                };
-                // Break `step_io_ratio` out by access class for jobs
-                // running with a codec: the audit then shows *which* I/O
-                // tier the codec compressed (adjacency extents are
-                // sequential reads; value point reads stay 1.0).
-                if !cfg.codec.is_none() {
-                    let tier = |phys: u64, logi: u64| {
-                        if logi == 0 {
-                            1.0
-                        } else {
-                            phys as f64 / logi as f64
-                        }
-                    };
-                    let io = &steps.last().expect("step just pushed").io;
-                    switcher.annotate_tiers(QtTiers {
-                        seq_read: tier(io.seq_read_bytes, io.seq_read_logical_bytes),
-                        seq_write: tier(io.seq_write_bytes, io.seq_write_logical_bytes),
-                        rand_read: tier(io.rand_read_bytes, io.rand_read_logical_bytes),
-                        rand_write: tier(io.rand_write_bytes, io.rand_write_logical_bytes),
-                    });
-                }
-                if let Some(new_mode) = decision {
-                    let from = cur;
-                    // The transition step that reconciles the two legs'
-                    // message state. push→async needs none: push already
-                    // delivered to every destination, async's next sweep
-                    // just drains the inbox.
-                    pending_kind = match (from, new_mode) {
-                        (Mode::BPull, Mode::Push | Mode::Async) => Some(StepKind::BPullThenPush),
-                        (Mode::Push | Mode::Async, Mode::BPull) => Some(StepKind::PushNoSend),
-                        (Mode::Async, Mode::Push) => Some(StepKind::AsyncThenPush),
-                        (Mode::Push, Mode::Async) => None,
-                        _ => unreachable!("switcher only moves between push, b-pull and async"),
-                    };
-                    cur = new_mode;
-                    switches.push((superstep + 1, from, new_mode));
-                    if let Some(s) = &sink {
-                        s.control().instant_at(
-                            s.master().clock_us(),
-                            "switch",
-                            vec![
-                                ("at_superstep", (superstep + 1).into()),
-                                ("from", from.label().into()),
-                                ("to", new_mode.label().into()),
-                            ],
-                        );
-                    }
-                }
-            }
-            // Every Switcher evaluation (including holds and too-early
-            // refusals) lands on the control track as one audit instant.
-            if let Some(s) = &sink {
-                let audits = switcher.audit();
-                if audit_seen < audits.len() {
-                    let ts = s.master().clock_us();
-                    let c = s.control();
-                    for a in &audits[audit_seen..] {
-                        c.instant_at(
-                            ts,
-                            "qt",
-                            vec![
-                                ("superstep", a.superstep.into()),
-                                ("q", a.q.into()),
-                                ("verdict", a.verdict.label().into()),
-                                ("mode_before", a.mode_before.into()),
-                                ("mode_after", a.mode_after.into()),
-                            ],
-                        );
-                    }
-                    audit_seen = audits.len();
-                }
-            }
-
-            // Checkpoint decision at the barrier. `EveryK` is the classic
-            // fixed interval; `Adaptive` is a Young-style rule driven by
-            // the deterministic cost model: checkpoint once the modeled
-            // compute time since the last cut outweighs `factor` times
-            // the modeled cost of writing one.
-            let take = match cfg.checkpoint {
-                CheckpointPolicy::Never => false,
-                CheckpointPolicy::EveryK(k) => superstep.is_multiple_of(k.max(1)),
-                CheckpointPolicy::Adaptive => {
-                    accum_step_secs += step_secs;
-                    let write_secs = cfg.profile.seq_write_secs(last_ckpt_worker_bytes.max(1));
-                    // Fault-aware (opt-in): observed kill rates tighten
-                    // the spacing via Young's approximation; without
-                    // evidence or with the flag off this is exactly the
-                    // plain `factor × write_secs` rule.
-                    accum_step_secs
-                        >= adaptive_spacing_secs(
-                            cfg.adaptive_checkpoint_factor,
-                            write_secs,
-                            mtbf.mtbf(),
-                            cfg.fault_aware_checkpoint,
-                        )
-                }
-            };
-            if take {
-                // Durable mode prunes with retention 2: the cut *before*
-                // the previous one goes, because the previous cut must
-                // stay on disk until this cut's WAL record commits — a
-                // crash between the worker files and the commit resumes
-                // from the previous cut.
-                let durable = cfg.barrier_sink.is_some();
-                let prune = if durable {
-                    prev_checkpoint
-                } else {
-                    last_checkpoint
-                };
-                last_ckpt_worker_bytes =
-                    checkpoint_all(&cmd_txs, &rep_rx, &vfss, &mut recovery, superstep, prune)?;
-                if let Some(s) = &sink {
-                    s.master().span(
-                        "checkpoint",
-                        secs_to_us(cfg.profile.seq_write_secs(last_ckpt_worker_bytes)),
-                        vec![
-                            ("superstep", superstep.into()),
-                            ("max_worker_bytes", last_ckpt_worker_bytes.into()),
-                        ],
-                    );
-                }
-                prev_checkpoint = last_checkpoint;
-                last_checkpoint = Some(superstep);
-                master_snapshot = Some(MasterSnapshot {
-                    switcher: switcher.clone(),
-                    cur,
-                    pending_kind,
-                    steps_len: steps.len(),
-                    switches_len: switches.len(),
-                });
-                accum_step_secs = 0.0;
-                if let Some(bs) = &cfg.barrier_sink {
-                    // Write-ahead ordering: worker checkpoint files are
-                    // durable *before* the master's commit record. The
-                    // seeded kills bracket the commit — `MidBarrier`
-                    // models dying with the files written but the record
-                    // missing, `BetweenGrants` right after the record.
-                    let state = MasterState {
-                        superstep,
-                        prev_checkpoint,
-                        last_ckpt_worker_bytes,
-                        epoch,
-                        workers: t as u32,
-                        cur,
-                        pending_kind,
-                        recoveries_used,
-                        cum_logical,
-                        accum_step_secs,
-                        pending_release_secs: 0.0,
-                        audit_seen: audit_seen as u64,
-                        switcher: switcher.clone(),
-                        steps: steps.clone(),
-                        switches: switches.clone(),
-                        recovery: recovery.clone(),
-                        mtbf,
-                        trace: sink.as_ref().map(|s| s.export_states()),
-                    }
-                    .encode();
-                    if master_killed(MasterKillPoint::MidBarrier(superstep)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::MidBarrier(superstep),
-                        });
-                    }
-                    bs.commit(superstep, &state)?;
-                    if master_killed(MasterKillPoint::BetweenGrants(superstep)) {
-                        return Err(JobError::Halted {
-                            point: MasterKillPoint::BetweenGrants(superstep),
-                        });
-                    }
-                }
-            } else if cfg.fault_plan.is_some() {
-                // Barriers without a checkpoint can still be kill points:
-                // the restarted job then resumes from the last committed
-                // cut further back.
-                for point in [
-                    MasterKillPoint::MidBarrier(superstep),
-                    MasterKillPoint::BetweenGrants(superstep),
-                ] {
-                    if master_killed(point) {
-                        return Err(JobError::Halted { point });
-                    }
-                }
-            }
-        }
-
-        // ---- Collect ----------------------------------------------------
-        if let Some(p) = &pacer {
-            p.acquire();
-        }
-        for tx in &cmd_txs {
-            tx.send(Cmd::Collect).expect("worker gone");
-        }
-        let mut values: Vec<Option<Vec<P::Value>>> = vec![None; t];
-        let mut bases: Vec<u32> = vec![0; t];
-        for _ in 0..t {
-            match rep_rx.recv().expect("workers hung up during collect") {
-                WorkerMsg::Values(i, base, vals) => {
-                    bases[i] = base;
-                    values[i] = Some(vals);
-                }
-                WorkerMsg::Failed { index, error, .. } => {
-                    return Err(JobError::WorkerFailed {
-                        worker: index,
-                        superstep,
-                        error,
-                    })
-                }
-                _ => unreachable!("unexpected message during collect"),
-            }
-        }
-        for tx in &cmd_txs {
-            tx.send(Cmd::Exit).ok();
-        }
-        if let Some(p) = &pacer {
-            p.release(0.0);
-        }
-        let mut all = Vec::with_capacity(n);
-        let mut pairs: Vec<(u32, Vec<P::Value>)> = bases
-            .into_iter()
-            .zip(values.into_iter().map(|v| v.unwrap()))
-            .collect();
-        pairs.sort_by_key(|(b, _)| *b);
-        for (_, vals) in pairs {
-            all.extend(vals);
-        }
-        debug_assert_eq!(all.len(), n);
-
-        recovery.mtbf_secs = mtbf.mtbf().unwrap_or(0.0);
-        let ns = net_stats.snapshot();
-        let net_overhead = NetOverhead {
-            retransmitted_bytes: ns.retransmitted_bytes,
-            duplicate_drops: ns.duplicate_drops,
-            dropped_frames: ns.dropped_frames,
-            delayed_frames: ns.delayed_frames,
-            acks_sent: ns.acks_sent,
-            replayed_bytes: ns.replayed_bytes,
-        };
-
-        Ok(JobResult {
-            values: all,
-            metrics: JobMetrics {
-                load,
-                steps,
-                switches,
-                qt_audit: switcher.audit().to_vec(),
-                profile: cfg.profile,
-                recovery,
-                net_overhead,
-            },
-        })
+    assert!(graph.num_vertices() > 0, "graph must have vertices");
+    let job = Job::new(program, graph, cfg)?;
+    std::thread::scope(|scope| {
+        let mut master = Master::new(&job, scope);
+        let (load, load_secs) = master.load()?;
+        master.resume_or_baseline(&load, load_secs)?;
+        while master.step()? {}
+        master.collect(load)
     })
 }
 
@@ -1533,7 +1603,7 @@ fn run_step_kind<P: VertexProgram>(
 fn worker_main<P: VertexProgram>(
     seed: WorkerSeed<'_, P>,
     cmd_rx: Receiver<Cmd>,
-    rep_tx: Sender<WorkerMsg<P::Value>>,
+    rep_tx: &Sender<WorkerMsg<P::Value>>,
 ) {
     let index = seed.id.index();
     let plan = seed.cfg.fault_plan.clone();
@@ -1541,141 +1611,62 @@ fn worker_main<P: VertexProgram>(
         plan.as_ref()
             .is_some_and(|p| p.should_fail(index, superstep, phase))
     };
+    // A death hands the endpoint back when the worker still holds it, so
+    // the master can respawn a replacement onto the same slot.
+    let died = |error: String, endpoint: Option<Endpoint>| {
+        let endpoint = endpoint.map(Box::new);
+        rep_tx
+            .send(WorkerMsg::Failed {
+                index,
+                error,
+                endpoint,
+            })
+            .ok();
+    };
     // The load-phase hook fires before `Worker::load` consumes the
     // endpoint, so an injected load fault is recoverable; a genuine load
     // error is not (the endpoint went down with the half-built worker).
     if injected(0, FaultPhase::Load) {
-        rep_tx
-            .send(WorkerMsg::Failed {
-                index,
-                error: "injected fault: killed while loading".into(),
-                endpoint: Some(Box::new(seed.ep)),
-            })
-            .ok();
-        return;
+        return died("injected fault: killed while loading".into(), Some(seed.ep));
     }
     let (mut worker, load) = match Worker::load(seed) {
         Ok(x) => x,
-        Err(e) => {
-            rep_tx
-                .send(WorkerMsg::Failed {
-                    index,
-                    error: e.to_string(),
-                    endpoint: None,
-                })
-                .ok();
-            return;
-        }
+        Err(e) => return died(e.to_string(), None),
     };
-    rep_tx
-        .send(WorkerMsg::Loaded(index, Box::new(load)))
-        .expect("master gone");
-    // Propagates an error as a worker death, handing the endpoint back.
-    macro_rules! fail {
-        ($err:expr) => {{
-            let ep = worker.ep;
-            rep_tx
-                .send(WorkerMsg::Failed {
-                    index,
-                    error: $err.to_string(),
-                    endpoint: Some(Box::new(ep)),
-                })
-                .ok();
-            return;
-        }};
-    }
+    let mut reply: io::Result<_> = Ok(WorkerMsg::Loaded(index, Box::new(load)));
     loop {
+        // Exactly one reply per command; an error is this worker's death.
+        match reply {
+            Ok(msg) => {
+                if rep_tx.send(msg).is_err() {
+                    return;
+                }
+            }
+            Err(e) => return died(e.to_string(), Some(worker.ep)),
+        }
         // Idle workers must keep servicing the endpoint: the ARQ layer
         // retransmits from the *sender*, so a worker parked between
         // supersteps would otherwise never re-send a dropped frame a
         // peer is still blocked on.
-        let cmd = match cmd_rx.recv_timeout(Duration::from_millis(2)) {
-            Ok(cmd) => cmd,
-            Err(RecvTimeoutError::Timeout) => {
-                worker.ep.service();
-                continue;
+        let cmd = loop {
+            match cmd_rx.recv_timeout(Duration::from_millis(2)) {
+                Ok(cmd) => break cmd,
+                Err(RecvTimeoutError::Timeout) => worker.ep.service(),
+                Err(RecvTimeoutError::Disconnected) => return,
             }
-            Err(RecvTimeoutError::Disconnected) => return,
         };
-        match cmd {
+        reply = match cmd {
             Cmd::Step {
                 kind,
                 superstep,
                 base_us,
             } => {
                 worker.step_base_us = base_us;
-                if injected(superstep, FaultPhase::Compute) {
-                    fail!(format!(
-                        "injected fault: killed before compute of superstep {superstep}"
-                    ));
-                }
-                let logging = worker.cfg.message_logging;
-                if logging {
-                    worker.ep.start_capture();
-                    if let Err(e) = worker.begin_undo_capture() {
-                        fail!(e);
-                    }
-                }
-                match run_step_kind(&mut worker, kind, superstep) {
-                    Ok(mut rep) => {
-                        if logging {
-                            let captured = worker.ep.take_capture();
-                            match worker.commit_msg_log(superstep, &captured) {
-                                Ok(bytes) => rep.msg_log_bytes = bytes,
-                                Err(e) => fail!(e),
-                            }
-                        }
-                        if injected(superstep, FaultPhase::Barrier) {
-                            fail!(format!(
-                                "injected fault: killed at barrier of superstep {superstep}"
-                            ));
-                        }
-                        rep_tx
-                            .send(WorkerMsg::Step(index, Box::new(rep)))
-                            .expect("master gone");
-                    }
-                    Err(e) if crate::modes::is_abort(&e) => {
-                        // A peer failed; the master broadcast an abort.
-                        // Unwind this superstep (keeping the undo capture
-                        // for a possible confined recovery) and await the
-                        // master's next order.
-                        if logging {
-                            let _ = worker.ep.take_capture();
-                        }
-                        rep_tx.send(WorkerMsg::Aborted(index)).expect("master gone");
-                    }
-                    Err(e) => fail!(e),
-                }
+                run_superstep(&mut worker, kind, superstep, injected)
             }
             Cmd::Checkpoint { superstep, prune } => {
-                let res = worker.write_checkpoint(superstep).and_then(|bytes| {
-                    // Pruning is idempotent: a restarted incarnation may
-                    // re-prune a cut its predecessor already removed.
-                    if let Some(p) = prune {
-                        if hybridgraph_storage::checkpoint::has_checkpoint(worker.vfs.as_ref(), p) {
-                            hybridgraph_storage::checkpoint::remove_checkpoint(
-                                worker.vfs.as_ref(),
-                                p,
-                            )?;
-                        }
-                    }
-                    if worker.cfg.message_logging {
-                        // Replays start from this cut; earlier log
-                        // segments can never be needed again.
-                        for s in (prune.unwrap_or(0) + 1)..=superstep {
-                            if msg_log::has_log_segment(worker.vfs.as_ref(), s) {
-                                msg_log::remove_log_segment(worker.vfs.as_ref(), s)?;
-                            }
-                        }
-                    }
-                    Ok(bytes)
-                });
-                match res {
-                    Ok(bytes) => rep_tx
-                        .send(WorkerMsg::Checkpointed(index, bytes))
-                        .expect("master gone"),
-                    Err(e) => fail!(e),
-                }
+                checkpoint_and_prune(&mut worker, superstep, prune)
+                    .map(|bytes| WorkerMsg::Checkpointed(index, bytes))
             }
             Cmd::Rollback { superstep, epoch } => {
                 // Stale packets from the aborted superstep (message
@@ -1685,43 +1676,22 @@ fn worker_main<P: VertexProgram>(
                 worker.ep.reset(epoch);
                 worker.undo = None;
                 worker.replay = false;
-                match worker.restore_checkpoint(superstep) {
-                    Ok(()) => rep_tx
-                        .send(WorkerMsg::RolledBack(index))
-                        .expect("master gone"),
-                    Err(e) => fail!(e),
-                }
+                worker
+                    .restore_checkpoint(superstep)
+                    .map(|()| WorkerMsg::RolledBack(index))
             }
             Cmd::UndoStep { epoch } => {
                 worker.ep.reset(epoch);
                 match worker.apply_undo() {
-                    Ok(true) => rep_tx.send(WorkerMsg::Undone(index)).expect("master gone"),
-                    Ok(false) => fail!("confined undo ordered but no capture exists"),
-                    Err(e) => fail!(e),
+                    Ok(true) => Ok(WorkerMsg::Undone(index)),
+                    Ok(false) => Err(io::Error::other(
+                        "confined undo ordered but no capture exists",
+                    )),
+                    Err(e) => Err(e),
                 }
             }
             Cmd::ReplayServe { superstep, target } => {
-                let res = (|| -> io::Result<()> {
-                    let mut r = MsgLogReader::open(worker.vfs.as_ref(), superstep)?;
-                    let to = WorkerId::from(target);
-                    while let Some((dest, blob)) = r.next_entry()? {
-                        if dest as usize != target {
-                            continue;
-                        }
-                        let (packet, _) = Packet::decode(&blob).ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("corrupt message-log entry in superstep {superstep}"),
-                            )
-                        })?;
-                        worker.ep.send_replay(to, packet);
-                    }
-                    Ok(())
-                })();
-                match res {
-                    Ok(()) => rep_tx.send(WorkerMsg::Served(index)).expect("master gone"),
-                    Err(e) => fail!(e),
-                }
+                serve_log(&mut worker, superstep, target).map(|()| WorkerMsg::Served(index))
             }
             Cmd::ReplayStep { kind, superstep } => {
                 // Re-execute with remote sends suppressed: every peer
@@ -1732,22 +1702,111 @@ fn worker_main<P: VertexProgram>(
                 let res = run_step_kind(&mut worker, kind, superstep);
                 worker.ep.set_replay(false);
                 worker.replay = false;
-                match res {
-                    Ok(_rep) => rep_tx
-                        .send(WorkerMsg::Replayed(index))
-                        .expect("master gone"),
-                    Err(e) => fail!(e),
-                }
+                res.map(|_| WorkerMsg::Replayed(index))
             }
-            Cmd::Collect => match worker.collect_values() {
-                Ok(vals) => rep_tx
-                    .send(WorkerMsg::Values(index, worker.range.start, vals))
-                    .expect("master gone"),
-                Err(e) => fail!(e),
-            },
+            Cmd::Collect => worker
+                .collect_values()
+                .map(|vals| WorkerMsg::Values(index, worker.range.start, vals)),
             Cmd::Exit => return,
+        };
+    }
+}
+
+/// Executes one superstep on `worker` and returns its reply: the step
+/// report, or `Aborted` when a peer failed and the master's abort unwound
+/// the step.
+fn run_superstep<P: VertexProgram>(
+    worker: &mut Worker<P>,
+    kind: StepKind,
+    superstep: u64,
+    injected: impl Fn(u64, FaultPhase) -> bool,
+) -> io::Result<WorkerMsg<P::Value>> {
+    let index = worker.id.index();
+    if injected(superstep, FaultPhase::Compute) {
+        return Err(io::Error::other(format!(
+            "injected fault: killed before compute of superstep {superstep}"
+        )));
+    }
+    let logging = worker.cfg.message_logging;
+    if logging {
+        worker.ep.start_capture();
+        worker.begin_undo_capture()?;
+    }
+    match run_step_kind(worker, kind, superstep) {
+        Ok(mut rep) => {
+            if logging {
+                let captured = worker.ep.take_capture();
+                rep.msg_log_bytes = worker.commit_msg_log(superstep, &captured)?;
+            }
+            if injected(superstep, FaultPhase::Barrier) {
+                return Err(io::Error::other(format!(
+                    "injected fault: killed at barrier of superstep {superstep}"
+                )));
+            }
+            Ok(WorkerMsg::Step(index, Box::new(rep)))
+        }
+        Err(e) if crate::modes::is_abort(&e) => {
+            // A peer failed; the master broadcast an abort. Unwind this
+            // superstep (keeping the undo capture for a possible confined
+            // recovery) and await the master's next order.
+            if logging {
+                let _ = worker.ep.take_capture();
+            }
+            Ok(WorkerMsg::Aborted(index))
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Writes the checkpoint for `superstep`, then prunes the cut at `prune`
+/// and, with message logging on, every log segment up to `superstep`:
+/// replays start from this cut, so they can never be needed again.
+/// Pruning is idempotent: a restarted incarnation may re-prune a cut its
+/// predecessor already removed.
+fn checkpoint_and_prune<P: VertexProgram>(
+    worker: &mut Worker<P>,
+    superstep: u64,
+    prune: Option<u64>,
+) -> io::Result<u64> {
+    let bytes = worker.write_checkpoint(superstep)?;
+    let vfs = worker.vfs.as_ref();
+    if let Some(p) = prune {
+        if has_checkpoint(vfs, p) {
+            remove_checkpoint(vfs, p)?;
         }
     }
+    if worker.cfg.message_logging {
+        for s in (prune.unwrap_or(0) + 1)..=superstep {
+            if msg_log::has_log_segment(vfs, s) {
+                msg_log::remove_log_segment(vfs, s)?;
+            }
+        }
+    }
+    Ok(bytes)
+}
+
+/// Confined recovery, survivor side: re-sends the entries of this
+/// worker's log segment for `superstep` that are addressed to `target`.
+fn serve_log<P: VertexProgram>(
+    worker: &mut Worker<P>,
+    superstep: u64,
+    target: usize,
+) -> io::Result<()> {
+    let mut r = MsgLogReader::open(worker.vfs.as_ref(), superstep)?;
+    let to = WorkerId::from(target);
+    while let Some((dest, blob)) = r.next_entry()? {
+        if dest as usize != target {
+            continue;
+        }
+        let (packet, _) = Packet::decode(&blob).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("corrupt message-log entry in superstep {superstep}"),
+            )
+        })?;
+        worker.ep.send_replay(to, packet);
+    }
+    Ok(())
 }
 
 /// Job-constant inputs the per-superstep aggregation needs.

@@ -596,3 +596,404 @@ fn recovery_budget_is_enforced() {
         ),
     }
 }
+
+// ---- Pinned master bytes ------------------------------------------------
+//
+// Every path through the master (clean run, load respawn, global
+// rollback, confined recovery, async rollback, recovery over a lossy
+// wire, durable halt + resume) is fingerprinted down to the bytes it
+// emits: value bits, `Q_t` audit bytes, the Chrome trace, every
+// committed `MasterState` payload, and the recovery counters. The
+// constants below were computed before the master was restructured; a
+// refactor of the control loop must reproduce them exactly.
+
+use hybridgraph_core::{encode_qt_audits, BarrierSink, MasterState, ResumeState, WorkerDisks};
+use std::sync::Mutex;
+
+/// FNV-1a 64, continued from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A barrier sink that keeps every commit in memory.
+#[derive(Debug, Default)]
+struct RecordingSink(Mutex<Vec<(u64, Vec<u8>)>>);
+
+impl BarrierSink for RecordingSink {
+    fn commit(&self, superstep: u64, state: &[u8]) -> std::io::Result<()> {
+        self.0.lock().unwrap().push((superstep, state.to_vec()));
+        Ok(())
+    }
+}
+
+impl RecordingSink {
+    fn last(&self) -> Vec<u8> {
+        self.0.lock().unwrap().last().expect("a commit").1.clone()
+    }
+}
+
+/// The five fingerprints of one run.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    values: u64,
+    audits: u64,
+    trace: u64,
+    commits: u64,
+    recovery: u64,
+}
+
+fn pin(r: &JobResult<PageRank>, trace: &TraceSink, commits: &RecordingSink) -> Pinned {
+    let values = r
+        .values
+        .iter()
+        .fold(FNV_SEED, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()));
+    // The committed step metrics carry three timing-dependent fields: the
+    // two wall clocks and the memory high-water mark (push's buffer peak
+    // depends on message arrival order). They are zeroed before hashing;
+    // every other committed byte is deterministic.
+    let commits = commits
+        .0
+        .lock()
+        .unwrap()
+        .iter()
+        .fold(FNV_SEED, |h, (s, bytes)| {
+            let mut st = MasterState::decode(bytes).expect("committed state decodes");
+            for m in &mut st.steps {
+                m.wall_secs = 0.0;
+                m.blocking_secs = 0.0;
+                m.memory_bytes = 0;
+            }
+            fnv1a(fnv1a(h, &s.to_le_bytes()), &st.encode())
+        });
+    let rec = &r.metrics.recovery;
+    let mut counters = Vec::new();
+    for x in [
+        rec.checkpoints_taken,
+        rec.checkpoint_bytes,
+        rec.checkpoint_io.total_bytes(),
+        rec.rollbacks,
+        rec.confined_recoveries,
+        rec.checkpoint_restores,
+        rec.recomputed_supersteps,
+        rec.replayed_supersteps,
+        rec.msg_log_bytes,
+        rec.mtbf_secs.to_bits(),
+    ] {
+        counters.extend_from_slice(&x.to_le_bytes());
+    }
+    for f in &rec.failures {
+        counters.extend_from_slice(&f.superstep.to_le_bytes());
+        counters.extend_from_slice(&(f.worker as u64).to_le_bytes());
+        counters.extend_from_slice(f.error.as_bytes());
+    }
+    Pinned {
+        values,
+        audits: fnv1a(FNV_SEED, &encode_qt_audits(&r.metrics.qt_audit)),
+        trace: fnv1a(FNV_SEED, export_chrome_trace(trace).as_bytes()),
+        commits,
+        recovery: fnv1a(FNV_SEED, &counters),
+    }
+}
+
+/// A pinned run's outcome, its trace and its commits.
+type PinnedRun = (
+    Result<JobResult<PageRank>, JobError>,
+    Arc<TraceSink>,
+    Arc<RecordingSink>,
+);
+
+/// Runs one traced, durably committed job over `disks`; the plan, if
+/// any, decides which master path it takes.
+fn pinned_run(
+    mode: Mode,
+    program: PageRank,
+    plan: Option<FaultPlan>,
+    logging: bool,
+    disks: &WorkerDisks,
+    resume: Option<Vec<u8>>,
+) -> PinnedRun {
+    let g = pagerank_graph();
+    let trace = Arc::new(TraceSink::new(4));
+    let commits = Arc::new(RecordingSink::default());
+    let mut cfg = JobConfig::new(mode, 4)
+        .with_buffer(256)
+        .with_checkpoint(CheckpointPolicy::EveryK(2))
+        .with_message_logging(logging)
+        .with_trace(Arc::clone(&trace))
+        .with_barrier_sink(Arc::clone(&commits) as Arc<dyn BarrierSink>)
+        .with_worker_disks(disks.clone());
+    if let Some(p) = plan {
+        cfg = cfg.with_fault_plan(Arc::new(p));
+    }
+    if let Some(state) = resume {
+        cfg = cfg.with_resume(ResumeState(Arc::new(state)));
+    }
+    (run_job(Arc::new(program), &g, cfg), trace, commits)
+}
+
+fn fresh_disks() -> WorkerDisks {
+    WorkerDisks(
+        (0..4)
+            .map(|_| Arc::new(MemVfs::new()) as Arc<dyn Vfs>)
+            .collect(),
+    )
+}
+
+/// One pinned scenario: runs it and returns its fingerprints plus the
+/// recovery counters for path assertions.
+fn pinned_case(name: &str) -> (Pinned, RecoveryMetrics) {
+    let disks = fresh_disks();
+    let pr = || PageRank::new(12);
+    let kill = || FaultPlan::new().kill(2, 5, FaultPhase::Compute);
+    let (result, trace, commits) = match name {
+        "clean" => pinned_run(Mode::Hybrid, pr(), None, false, &disks, None),
+        "global" => pinned_run(Mode::Hybrid, pr(), Some(kill()), false, &disks, None),
+        "confined" => pinned_run(Mode::Hybrid, pr(), Some(kill()), true, &disks, None),
+        "load" => {
+            let plan = FaultPlan::new().kill(1, 0, FaultPhase::Load);
+            pinned_run(Mode::Hybrid, pr(), Some(plan), false, &disks, None)
+        }
+        "async" => {
+            let plan = FaultPlan::new().kill(1, 3, FaultPhase::Compute);
+            let program = PageRank::until(1e-9, 60);
+            pinned_run(Mode::Async, program, Some(plan), false, &disks, None)
+        }
+        "lossy" => {
+            let net = NetFaultPlan::new(0x5EED).with_drops(80, 2);
+            let plan = kill().with_net(Arc::new(net));
+            pinned_run(Mode::Hybrid, pr(), Some(plan), true, &disks, None)
+        }
+        "resume" => {
+            let plan = FaultPlan::new().master_kill(MasterKillPoint::MidBarrier(6));
+            let (halted, _, first) =
+                pinned_run(Mode::Hybrid, pr(), Some(plan), false, &disks, None);
+            assert!(matches!(halted, Err(JobError::Halted { .. })));
+            pinned_run(Mode::Hybrid, pr(), None, false, &disks, Some(first.last()))
+        }
+        other => unreachable!("unknown pinned case {other}"),
+    };
+    let r = result.unwrap_or_else(|e| panic!("{name}: {e}"));
+    (pin(&r, &trace, &commits), r.metrics.recovery.clone())
+}
+
+/// Fingerprints computed before the master was split into phases.
+const PINNED: &[(&str, Pinned)] = &[
+    (
+        "clean",
+        Pinned {
+            values: 0x67ee_2b6b_5056_0b4e,
+            audits: 0x4656_7f8b_559b_f5e4,
+            trace: 0x1b11_ea1b_0b0d_1109,
+            commits: 0x248f_e235_f634_047a,
+            recovery: 0xa497_88eb_07d8_f33e,
+        },
+    ),
+    (
+        "global",
+        Pinned {
+            values: 0x67ee_2b6b_5056_0b4e,
+            audits: 0x4656_7f8b_559b_f5e4,
+            trace: 0x490a_6c95_5f15_aaf9,
+            commits: 0x9623_41fc_b880_1c09,
+            recovery: 0xb1ee_d0c1_63d6_6626,
+        },
+    ),
+    (
+        "confined",
+        Pinned {
+            values: 0x67ee_2b6b_5056_0b4e,
+            audits: 0x4656_7f8b_559b_f5e4,
+            trace: 0x085b_21b6_d2a2_2a84,
+            commits: 0xdc00_167d_b8a0_ec2d,
+            recovery: 0x085c_1071_66c5_c70a,
+        },
+    ),
+    (
+        "load",
+        Pinned {
+            values: 0x67ee_2b6b_5056_0b4e,
+            audits: 0x4656_7f8b_559b_f5e4,
+            trace: 0x1b11_ea1b_0b0d_1109,
+            commits: 0xe626_ec64_8007_bcc8,
+            recovery: 0x8c1e_e081_9ddb_3f2c,
+        },
+    ),
+    (
+        "async",
+        Pinned {
+            values: 0xf7fe_790d_0f8c_6bfa,
+            audits: 0x9576_2988_26e4_8038,
+            trace: 0x873c_99dd_6059_dce2,
+            commits: 0x713a_041c_c212_0f7f,
+            recovery: 0xc8f0_7d4d_8091_ad09,
+        },
+    ),
+    (
+        "lossy",
+        Pinned {
+            values: 0x67ee_2b6b_5056_0b4e,
+            audits: 0x4656_7f8b_559b_f5e4,
+            trace: 0x041d_3437_8b58_86ea,
+            commits: 0xd28a_1474_335b_e3e4,
+            recovery: 0x085c_1071_66c5_c70a,
+        },
+    ),
+    (
+        "resume",
+        Pinned {
+            values: 0x67ee_2b6b_5056_0b4e,
+            audits: 0x4656_7f8b_559b_f5e4,
+            trace: 0x1b11_ea1b_0b0d_1109,
+            commits: 0xbafb_6834_57a3_0d23,
+            recovery: 0xb21f_7b05_077a_b463,
+        },
+    ),
+];
+
+#[test]
+fn master_paths_match_pinned_bytes() {
+    let mut report = String::new();
+    for (name, want) in PINNED {
+        let (got, rec) = pinned_case(name);
+        match *name {
+            "global" | "async" => assert_eq!((rec.rollbacks, rec.confined_recoveries), (1, 0)),
+            "confined" | "lossy" => assert_eq!((rec.rollbacks, rec.confined_recoveries), (0, 1)),
+            "load" => assert_eq!(rec.failures.len(), 1, "{name}"),
+            _ => assert!(rec.failures.is_empty(), "{name}"),
+        }
+        if got != *want {
+            report.push_str(&format!("{name}: got {got:?}\n"));
+        }
+    }
+    assert!(report.is_empty(), "pinned master bytes changed:\n{report}");
+}
+
+// ---- Panics in user code ------------------------------------------------
+
+use hybridgraph::net::Combiner;
+use std::time::Duration;
+
+/// PageRank whose `update` panics for vertex 5 at superstep `at`, or
+/// whose `init` panics for vertex 5 when `at` is 0.
+struct Panicky {
+    inner: PageRank,
+    at: u64,
+}
+
+impl VertexProgram for Panicky {
+    type Value = f64;
+    type Message = f64;
+
+    fn name(&self) -> &'static str {
+        "panicky"
+    }
+
+    fn init(&self, v: VertexId, info: &GraphInfo) -> f64 {
+        assert!(!(self.at == 0 && v.0 == 5), "vertex 5 exploded in init");
+        self.inner.init(v, info)
+    }
+
+    fn update(
+        &self,
+        v: VertexId,
+        info: &GraphInfo,
+        superstep: u64,
+        current: &f64,
+        msgs: &[f64],
+    ) -> Update<f64> {
+        if v.0 == 5 && superstep == self.at {
+            panic!("vertex 5 exploded at superstep {superstep}");
+        }
+        self.inner.update(v, info, superstep, current, msgs)
+    }
+
+    fn message(&self, src: VertexId, value: &f64, out_degree: u32, e: &Edge) -> Option<f64> {
+        self.inner.message(src, value, out_degree, e)
+    }
+
+    fn combiner(&self) -> Option<&dyn Combiner<f64>> {
+        self.inner.combiner()
+    }
+
+    fn max_supersteps(&self) -> Option<u64> {
+        self.inner.max_supersteps()
+    }
+}
+
+/// Runs the panicking job on a helper thread and waits at most 30 s, so
+/// an engine that hangs fails the test instead of stalling the suite.
+fn run_panicky(at: u64, cfg: JobConfig) -> JobError {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let job = std::thread::spawn(move || {
+        let program = Panicky {
+            inner: PageRank::new(6),
+            at,
+        };
+        let g = pagerank_graph();
+        tx.send(run_job(Arc::new(program), &g, cfg).map(|r| r.values.len()))
+            .ok();
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the engine hung on a panicking vertex program");
+    job.join().expect("run_job returned instead of panicking");
+    match outcome {
+        Err(e) => e,
+        Ok(_) => panic!("a panicking vertex program must fail the job"),
+    }
+}
+
+/// Asserts the typed, unrecoverable failure a user-code panic maps to:
+/// worker 0 (which owns vertex 5) failed at `superstep`, and the error
+/// carries the panic message.
+fn assert_panic_failure(err: JobError, superstep: u64, message: &str, label: &str) {
+    assert_eq!(err.code(), 1, "{label}: wire code of WorkerFailed");
+    match err {
+        JobError::WorkerFailed {
+            worker,
+            superstep: s,
+            error,
+        } => {
+            assert_eq!((worker, s), (0, superstep), "{label}");
+            assert_eq!(error, format!("panic: {message}"), "{label}");
+        }
+        other => panic!("{label}: expected WorkerFailed, got {other}"),
+    }
+}
+
+/// A panic in `update()` ends the job with `WorkerFailed` in every
+/// execution mode instead of hanging the master on the dead thread.
+#[test]
+fn panic_in_update_fails_fast_in_every_mode() {
+    for mode in [Mode::Push, Mode::BPull, Mode::Hybrid] {
+        let err = run_panicky(2, JobConfig::new(mode, 3).with_buffer(128));
+        let msg = "vertex 5 exploded at superstep 2";
+        assert_panic_failure(err, 2, msg, &format!("{mode:?}"));
+    }
+}
+
+/// A panic in `init()` (graph loading) fails the job at superstep 0.
+#[test]
+fn panic_in_init_fails_fast() {
+    let err = run_panicky(0, JobConfig::new(Mode::Hybrid, 3).with_buffer(128));
+    assert_panic_failure(err, 0, "vertex 5 exploded in init", "init");
+}
+
+/// Checkpoints and message logging do not make a panic recoverable: the
+/// dead thread took its endpoint with it, so neither confined recovery
+/// nor a global rollback can respawn it.
+#[test]
+fn panic_is_not_recovered_with_checkpoints_and_logging() {
+    let cfg = JobConfig::new(Mode::Hybrid, 3)
+        .with_buffer(128)
+        .with_checkpoint(CheckpointPolicy::EveryK(1))
+        .with_message_logging(true);
+    let err = run_panicky(2, cfg);
+    assert_panic_failure(err, 2, "vertex 5 exploded at superstep 2", "logged");
+}

@@ -386,3 +386,104 @@ fn faulted_tenant_recovers_without_perturbing_neighbour() {
         "neighbour of the faulted tenant was perturbed"
     );
 }
+
+/// PageRank whose `update` panics for vertex 5 at superstep 2.
+struct PanicAtTwo(PageRank);
+
+impl VertexProgram for PanicAtTwo {
+    type Value = f64;
+    type Message = f64;
+
+    fn name(&self) -> &'static str {
+        "panic-at-two"
+    }
+
+    fn init(&self, v: VertexId, info: &GraphInfo) -> f64 {
+        self.0.init(v, info)
+    }
+
+    fn update(
+        &self,
+        v: VertexId,
+        info: &GraphInfo,
+        superstep: u64,
+        current: &f64,
+        msgs: &[f64],
+    ) -> Update<f64> {
+        assert!(!(v.0 == 5 && superstep == 2), "tenant bug");
+        self.0.update(v, info, superstep, current, msgs)
+    }
+
+    fn message(&self, src: VertexId, value: &f64, out_degree: u32, e: &Edge) -> Option<f64> {
+        self.0.message(src, value, out_degree, e)
+    }
+
+    fn combiner(&self) -> Option<&dyn hybridgraph::net::Combiner<f64>> {
+        self.0.combiner()
+    }
+
+    fn max_supersteps(&self) -> Option<u64> {
+        self.0.max_supersteps()
+    }
+}
+
+/// A tenant whose vertex program panics fails with a typed error instead
+/// of wedging the service: its neighbour's values stay bit-identical to
+/// a solo run, and the failed job gives back its slot and its pin.
+#[test]
+fn panicking_tenant_fails_without_perturbing_neighbour() {
+    let solo = {
+        let svc = service(17, 1, 0);
+        svc.register_graph("a", graph_a(), GraphSpec::new(3))
+            .unwrap();
+        svc.submit(
+            Arc::new(PageRank::new(4)),
+            JobRequest::new("a", pagerank_cfg(3)),
+        )
+        .unwrap()
+        .wait()
+        .unwrap()
+    };
+    let svc = service(17, 2, 0);
+    svc.register_graph("a", graph_a(), GraphSpec::new(3))
+        .unwrap();
+    svc.register_graph("b", graph_b(), GraphSpec::new(3))
+        .unwrap();
+    let pause = svc.pause_scheduling();
+    let t_a = svc
+        .submit(
+            Arc::new(PageRank::new(4)),
+            JobRequest::new("a", pagerank_cfg(3)),
+        )
+        .unwrap();
+    let t_b = svc
+        .submit(
+            Arc::new(PanicAtTwo(PageRank::new(4))),
+            JobRequest::new("b", pagerank_cfg(3)),
+        )
+        .unwrap();
+    drop(pause);
+    // Waited on a helper thread so a hang fails the test within 30 s.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let healthy = t_a.wait().map(|r| bits(&r.values));
+        let panicked = t_b.wait().map(|r| r.values.len());
+        tx.send((healthy, panicked)).ok();
+    });
+    let (healthy, panicked) = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the service hung on a panicking tenant");
+    waiter.join().expect("both tickets resolved");
+    match panicked {
+        Err(JobError::WorkerFailed { error, .. }) => assert_eq!(error, "panic: tenant bug"),
+        other => panic!("expected WorkerFailed from the panicking tenant, got {other:?}"),
+    }
+    assert_eq!(
+        healthy.unwrap(),
+        bits(&solo.values),
+        "the panicking tenant perturbed its neighbour"
+    );
+    assert_eq!(svc.resident_jobs(), 0, "the failed job must free its slot");
+    assert_eq!(svc.pins_of("a"), Some(0));
+    assert_eq!(svc.pins_of("b"), Some(0), "the failed job must unpin");
+}
