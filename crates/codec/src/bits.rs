@@ -151,7 +151,24 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Tops `acc` up with as many whole bytes as fit (eight at once away
+    /// from the end of the input, one at a time near it). Called only
+    /// with `n <= 56`, so at least one byte always fits.
+    #[inline]
     fn refill(&mut self) -> Result<(), CodecError> {
+        if let Some(chunk) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_be_bytes(chunk.try_into().expect("width"));
+            let take = (64 - self.n) / 8;
+            let bits = 8 * take;
+            self.acc = if bits == 64 {
+                word
+            } else {
+                (self.acc << bits) | (word >> (64 - bits))
+            };
+            self.pos += take as usize;
+            self.n += bits;
+            return Ok(());
+        }
         let &b = self.data.get(self.pos).ok_or(CodecError::Truncated)?;
         self.pos += 1;
         self.acc = (self.acc << 8) | b as u64;

@@ -20,7 +20,7 @@
 //! sequence, so reconstruction is byte-exact.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::gaps::parse_raw_fragments;
+use crate::gaps::Frags;
 use crate::varint::{read_u64, write_u64};
 use crate::CodecError;
 
@@ -121,7 +121,9 @@ fn read_first(r: &mut BitReader<'_>, anchor: Option<u32>) -> Result<u32, CodecEr
     u32::try_from(v).map_err(|_| CodecError::Corrupt("bv first id out of range"))
 }
 
-/// The structural decomposition of one neighbour list.
+/// The structural decomposition of one neighbour list. Plans are
+/// refilled in place by [`plan_list`], so one pair serves a whole extent.
+#[derive(Default)]
 struct ListPlan {
     /// 0 = no reference; `r` = copy against the list `r` positions back.
     r: u64,
@@ -134,10 +136,8 @@ struct ListPlan {
     residuals: Vec<u32>,
 }
 
-/// Splits `extras` (sorted) into intervals and residuals.
-fn split_intervals(extras: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
-    let mut intervals = Vec::new();
-    let mut residuals = Vec::new();
+/// Splits `extras` (sorted) into `p`'s intervals and residuals.
+fn split_intervals(extras: &[u32], p: &mut ListPlan) {
     let mut i = 0usize;
     while i < extras.len() {
         let mut j = i + 1;
@@ -146,68 +146,79 @@ fn split_intervals(extras: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
         }
         let len = (j - i) as u32;
         if len >= MIN_INTERVAL {
-            intervals.push((extras[i], len));
+            p.intervals.push((extras[i], len));
         } else {
-            residuals.extend_from_slice(&extras[i..j]);
+            p.residuals.extend_from_slice(&extras[i..j]);
         }
         i = j;
     }
-    (intervals, residuals)
 }
 
-/// Builds the plan for `cur` against an optional reference list.
-fn plan_list(cur: &[u32], reference: Option<&[u32]>, r: u64) -> ListPlan {
-    let (blocks, extras) = match reference {
-        None => (Vec::new(), cur.to_vec()),
-        Some(rl) => {
-            // Two-pointer multiset intersection: which reference
-            // positions are copied into `cur`.
-            let mut copied = vec![false; rl.len()];
-            let mut extras = Vec::new();
-            let mut j = 0usize;
-            for &v in cur {
-                while j < rl.len() && rl[j] < v {
-                    j += 1;
-                }
-                if j < rl.len() && rl[j] == v {
-                    copied[j] = true;
-                    j += 1;
-                } else {
-                    extras.push(v);
-                }
-            }
-            // Run-length the copied bitmap into alternating blocks
-            // starting with "copied"; the final run is implicit.
-            let mut runs: Vec<u64> = Vec::new();
-            let mut parity = true; // first block is copied
-            if let Some(&first) = copied.first() {
-                if first != parity {
-                    runs.push(0);
-                    parity = false;
-                }
-                let mut len = 0u64;
-                for &c in &copied {
-                    if c == parity {
-                        len += 1;
-                    } else {
-                        runs.push(len);
-                        parity = c;
-                        len = 1;
-                    }
-                }
-                runs.push(len);
-                runs.pop(); // trailing block is implied by the ref length
-            }
-            (runs, extras)
+/// Run-lengths the "is reference position copied" bit sequence into
+/// alternating blocks starting with "copied". The run in progress is
+/// never pushed: the trailing block is implied by the reference length.
+struct CopyRuns<'a> {
+    blocks: &'a mut Vec<u64>,
+    copied: bool,
+    len: u64,
+}
+
+impl CopyRuns<'_> {
+    fn feed(&mut self, copied: bool, n: u64) {
+        if n == 0 {
+            return;
         }
-    };
-    let (intervals, residuals) = split_intervals(&extras);
-    ListPlan {
-        r,
-        blocks,
-        intervals,
-        residuals,
+        if copied == self.copied {
+            self.len += n;
+        } else {
+            self.blocks.push(self.len);
+            self.copied = copied;
+            self.len = n;
+        }
     }
+}
+
+/// Refills `p` with the plan for `cur` against an optional reference
+/// list; `extras` is scratch for the ids the reference does not cover.
+fn plan_list(
+    cur: &[u32],
+    reference: Option<&[u32]>,
+    r: u64,
+    p: &mut ListPlan,
+    extras: &mut Vec<u32>,
+) {
+    p.r = r;
+    p.blocks.clear();
+    p.intervals.clear();
+    p.residuals.clear();
+    let Some(rl) = reference else {
+        split_intervals(cur, p);
+        return;
+    };
+    // Two-pointer multiset intersection: which reference positions are
+    // copied into `cur`.
+    extras.clear();
+    let mut runs = CopyRuns {
+        blocks: &mut p.blocks,
+        copied: true,
+        len: 0,
+    };
+    let mut j = 0usize;
+    for &v in cur {
+        let skip = j;
+        while j < rl.len() && rl[j] < v {
+            j += 1;
+        }
+        runs.feed(false, (j - skip) as u64);
+        if j < rl.len() && rl[j] == v {
+            runs.feed(true, 1);
+            j += 1;
+        } else {
+            extras.push(v);
+        }
+    }
+    runs.feed(false, (rl.len() - j) as u64);
+    split_intervals(extras, p);
 }
 
 /// Exact bit cost of writing this plan for a list of `n` ids against
@@ -283,54 +294,89 @@ fn write_plan(w: &mut BitWriter, p: &ListPlan, n: usize, anchor: Option<u32>) {
     }
 }
 
+/// Reusable encoder state for [`write_list`]: the best plan so far, the
+/// candidate being planned, and `plan_list`'s scratch.
+#[derive(Default)]
+struct Planner {
+    best: ListPlan,
+    cand: ListPlan,
+    extras: Vec<u32>,
+}
+
 /// Encodes `cur` into `w`, choosing the cheapest reference among "no
 /// reference" and the window of previously encoded lists (most recent
 /// first candidate). Ties keep the smallest `r`, so output is
-/// deterministic. `cur` must be non-decreasing (checked by callers);
-/// `anchor` is the first id of the extent's previous non-empty list.
-fn write_list(w: &mut BitWriter, cur: &[u32], window: &[Vec<u32>], anchor: Option<u32>) {
-    let mut best = plan_list(cur, None, 0);
-    let mut best_cost = plan_cost(&best, cur.len(), anchor);
+/// deterministic. `window` holds the `(start, len)` ranges of the
+/// previous lists inside `ids`. `cur` must be non-decreasing (checked by
+/// callers); `anchor` is the first id of the extent's previous non-empty
+/// list.
+fn write_list(
+    w: &mut BitWriter,
+    cur: &[u32],
+    ids: &[u32],
+    window: &[(usize, usize)],
+    anchor: Option<u32>,
+    pl: &mut Planner,
+) {
+    plan_list(cur, None, 0, &mut pl.best, &mut pl.extras);
+    let mut best_cost = plan_cost(&pl.best, cur.len(), anchor);
     let reach = window.len().min(REF_WINDOW);
     for r in 1..=reach {
-        let rl = &window[window.len() - r];
-        if rl.is_empty() {
+        let (start, len) = window[window.len() - r];
+        if len == 0 {
             continue;
         }
-        let cand = plan_list(cur, Some(rl), r as u64);
-        let cost = plan_cost(&cand, cur.len(), anchor);
+        let rl = &ids[start..start + len];
+        plan_list(cur, Some(rl), r as u64, &mut pl.cand, &mut pl.extras);
+        let cost = plan_cost(&pl.cand, cur.len(), anchor);
         if cost < best_cost {
-            best = cand;
+            std::mem::swap(&mut pl.best, &mut pl.cand);
             best_cost = cost;
         }
     }
-    write_plan(w, &best, cur.len(), anchor);
+    write_plan(w, &pl.best, cur.len(), anchor);
 }
 
-/// Decodes one list of `count` ids written by [`write_list`].
+/// Reusable decoder state for [`read_list`].
+#[derive(Default)]
+struct ListScratch {
+    copied: Vec<u32>,
+    intervals: Vec<(u32, u32)>,
+    residuals: Vec<u32>,
+}
+
+/// Sentinel above every u32 id, so the merge needs no `Option`s.
+const DONE: u64 = u64::MAX;
+
+/// Decodes one list of `count` ids written by [`write_list`], appending
+/// it to `ids`. `window` holds the `(start, len)` ranges of the previous
+/// lists inside `ids`.
 fn read_list(
     r: &mut BitReader<'_>,
     count: usize,
-    window: &[Vec<u32>],
+    ids: &mut Vec<u32>,
+    window: &[(usize, usize)],
     anchor: Option<u32>,
-) -> Result<Vec<u32>, CodecError> {
+    s: &mut ListScratch,
+) -> Result<(), CodecError> {
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
+    s.copied.clear();
+    s.intervals.clear();
+    s.residuals.clear();
     let rref = r.read_gamma()?;
-    let copied: Vec<u32> = if rref == 0 {
-        Vec::new()
-    } else {
+    if rref != 0 {
         let back = usize::try_from(rref).map_err(|_| CodecError::Corrupt("bv ref too far"))?;
         if back > window.len() || back > REF_WINDOW {
             return Err(CodecError::Corrupt("bv ref outside window"));
         }
-        let rl = &window[window.len() - back];
+        let (start, len) = window[window.len() - back];
+        let rl = &ids[start..start + len];
         let nblocks = r.read_gamma()? as usize;
         if nblocks > rl.len() + 1 {
             return Err(CodecError::Corrupt("bv copy blocks exceed reference"));
         }
-        let mut out = Vec::new();
         let mut pos = 0usize;
         let mut parity = true;
         for i in 0..nblocks {
@@ -340,17 +386,16 @@ fn read_list(
                 return Err(CodecError::Corrupt("bv copy block overruns reference"));
             }
             if parity {
-                out.extend_from_slice(&rl[pos..pos + len]);
+                s.copied.extend_from_slice(&rl[pos..pos + len]);
             }
             pos += len;
             parity = !parity;
         }
         if parity {
-            out.extend_from_slice(&rl[pos..]);
+            s.copied.extend_from_slice(&rl[pos..]);
         }
-        out
-    };
-    if copied.len() > count {
+    }
+    if s.copied.len() > count {
         return Err(CodecError::Corrupt("bv copied more than list length"));
     }
     let nintervals = if count >= MIN_INTERVAL as usize {
@@ -363,7 +408,6 @@ fn read_list(
     if nintervals > count {
         return Err(CodecError::Corrupt("bv interval count exceeds list"));
     }
-    let mut intervals = Vec::with_capacity(nintervals);
     let mut extra_total = 0usize;
     let mut prev_left = 0u64;
     for i in 0..nintervals {
@@ -381,56 +425,71 @@ fn read_list(
             return Err(CodecError::Corrupt("bv interval end overflow"));
         }
         extra_total += len32 as usize;
-        intervals.push((left32, len32));
+        s.intervals.push((left32, len32));
         prev_left = left;
     }
     let nresiduals = count
-        .checked_sub(copied.len())
+        .checked_sub(s.copied.len())
         .and_then(|x| x.checked_sub(extra_total))
         .ok_or(CodecError::Corrupt("bv list pieces exceed count"))?;
-    let mut residuals = Vec::with_capacity(nresiduals.min(1 << 20));
+    // Residuals go straight onto `ids` when they are the only piece.
+    let start = ids.len();
+    let direct = s.copied.is_empty() && s.intervals.is_empty();
     if nresiduals > 0 {
+        let out = if direct { &mut *ids } else { &mut s.residuals };
         let mut prev = read_first(r, anchor)?;
-        residuals.push(prev);
+        out.push(prev);
         for _ in 1..nresiduals {
             let gap = r.read_zeta(ZETA_K)?;
             let v = u64::from(prev) + gap;
             let v32 = u32::try_from(v).map_err(|_| CodecError::Corrupt("bv residual overflow"))?;
-            residuals.push(v32);
+            out.push(v32);
             prev = v32;
         }
     }
-    // Three-way merge of the sorted pieces back into the sorted list.
-    let mut out = Vec::with_capacity(count);
-    let mut ci = 0usize;
-    let mut ri = 0usize;
-    let mut ii = 0usize; // interval index
-    let mut ioff = 0u32; // offset within current interval
+    if !direct {
+        merge_pieces(ids, s);
+    }
+    if ids.len() - start != count {
+        return Err(CodecError::Corrupt("bv list length mismatch"));
+    }
+    Ok(())
+}
+
+/// Three-way merge of a list's sorted pieces onto `ids`. On a tie the
+/// copied piece goes first, then the interval, then the residual.
+fn merge_pieces(ids: &mut Vec<u32>, s: &ListScratch) {
+    if s.intervals.is_empty() && s.residuals.is_empty() {
+        ids.extend_from_slice(&s.copied);
+        return;
+    }
+    let at = |v: &[u32], i: usize| v.get(i).map_or(DONE, |&x| u64::from(x));
+    let (mut ci, mut ri, mut ii) = (0usize, 0usize, 0usize);
+    let mut ioff = 0u32; // offset within the current interval
     loop {
-        let cv = copied.get(ci).copied();
-        let rv = residuals.get(ri).copied();
-        let iv = intervals.get(ii).map(|&(l, _)| l + ioff);
-        let min = [cv, rv, iv].into_iter().flatten().min();
-        let Some(m) = min else { break };
-        if cv == Some(m) {
-            out.push(m);
+        let cv = at(&s.copied, ci);
+        let rv = at(&s.residuals, ri);
+        let iv = s
+            .intervals
+            .get(ii)
+            .map_or(DONE, |&(l, _)| u64::from(l + ioff));
+        let m = cv.min(rv).min(iv);
+        if m == DONE {
+            break;
+        }
+        ids.push(m as u32);
+        if cv == m {
             ci += 1;
-        } else if iv == Some(m) {
-            out.push(m);
+        } else if iv == m {
             ioff += 1;
-            if ioff == intervals[ii].1 {
+            if ioff == s.intervals[ii].1 {
                 ii += 1;
                 ioff = 0;
             }
         } else {
-            out.push(m);
             ri += 1;
         }
     }
-    if out.len() != count {
-        return Err(CodecError::Corrupt("bv list length mismatch"));
-    }
-    Ok(out)
 }
 
 // -------------------------------------------------------- weight column
@@ -456,24 +515,25 @@ fn write_weights(w: &mut BitWriter, vals: &[u32]) {
     }
 }
 
-fn read_weights(r: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>, CodecError> {
+/// Reads a column written by [`write_weights`], appending to `out`.
+fn read_weights(r: &mut BitReader<'_>, count: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let min = r.read_bits(32)? as u32;
     let width = r.read_bits(6)? as u32;
     if width > 32 {
         return Err(CodecError::Corrupt("bv weight width > 32"));
     }
-    let mut vals = Vec::with_capacity(count);
+    out.reserve(count);
     for _ in 0..count {
         let delta = r.read_bits(width)? as u32;
         let v = min
             .checked_add(delta)
             .ok_or(CodecError::Corrupt("bv weight overflows u32"))?;
-        vals.push(v);
+        out.push(v);
     }
-    Ok(vals)
+    Ok(())
 }
 
 // ------------------------------------------------------- fragment bodies
@@ -494,7 +554,8 @@ fn require_sorted(ids: &[u32]) -> Result<(), CodecError> {
 /// share one destination block), and the packed weight column over all
 /// edges.
 pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let f = parse_raw_fragments(raw)?;
+    let mut f = Frags::default();
+    f.parse_raw(raw)?;
     if f.svertices.windows(2).any(|p| p[0] >= p[1]) {
         return Err(CodecError::Corrupt("bv requires ascending svertices"));
     }
@@ -513,17 +574,19 @@ pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
     for &c in &f.counts {
         w.write_gamma(u64::from(c));
     }
-    let mut window: Vec<Vec<u32>> = Vec::with_capacity(f.counts.len());
+    let mut planner = Planner::default();
+    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(f.counts.len());
     let mut anchor: Option<u32> = None;
     let mut base = 0usize;
     for &c in &f.counts {
         let cur = &f.ids[base..base + c as usize];
         require_sorted(cur)?;
-        write_list(&mut w, cur, &window, anchor);
+        let window = &ranges[ranges.len().saturating_sub(REF_WINDOW)..];
+        write_list(&mut w, cur, &f.ids, window, anchor, &mut planner);
         if let Some(&first) = cur.first() {
             anchor = Some(first);
         }
-        window.push(cur.to_vec());
+        ranges.push((base, c as usize));
         base += c as usize;
     }
     write_weights(&mut w, &f.weights);
@@ -531,12 +594,16 @@ pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
-/// Inverse of [`fragments_from_raw`].
-pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// Decodes a body written by [`fragments_from_raw`] into `out`'s
+/// columns: every list lands straight in the flat `ids` column, and
+/// copy-references read earlier lists back out of it. On error the
+/// columns are left partly filled (see [`crate::decode_fragments`]).
+pub(crate) fn decode_fragments(coded: &[u8], out: &mut Frags) -> Result<(), CodecError> {
+    out.clear();
     let mut pos = 0usize;
     let nfrags = read_u64(coded, &mut pos)? as usize;
     let mut r = BitReader::new(&coded[pos..]);
-    let mut svertices = Vec::with_capacity(nfrags.min(1 << 20));
+    out.svertices.reserve(nfrags.min(1 << 20));
     let mut prev = 0u64;
     for i in 0..nfrags {
         let sv = if i == 0 {
@@ -545,10 +612,10 @@ pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
             prev + 1 + r.read_delta()?
         };
         u32::try_from(sv).map_err(|_| CodecError::Corrupt("bv svertex overflow"))?;
-        svertices.push(sv as u32);
+        out.svertices.push(sv as u32);
         prev = sv;
     }
-    let mut counts = Vec::with_capacity(nfrags.min(1 << 20));
+    out.counts.reserve(nfrags);
     let mut total_edges = 0usize;
     for _ in 0..nfrags {
         let c =
@@ -556,31 +623,30 @@ pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
         total_edges = total_edges
             .checked_add(c as usize)
             .ok_or(CodecError::Corrupt("bv edge total overflows"))?;
-        counts.push(c);
+        out.counts.push(c);
     }
-    let mut window: Vec<Vec<u32>> = Vec::with_capacity(nfrags.min(1 << 20));
+    let mut scratch = ListScratch::default();
+    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(nfrags);
     let mut anchor: Option<u32> = None;
-    for &c in &counts {
-        let list = read_list(&mut r, c as usize, &window, anchor)?;
-        if let Some(&first) = list.first() {
-            anchor = Some(first);
-        }
-        window.push(list);
-    }
-    let weights = read_weights(&mut r, total_edges)?;
-    let mut raw = Vec::with_capacity(nfrags * 8 + total_edges * 8);
-    let mut base = 0usize;
     for i in 0..nfrags {
-        raw.extend_from_slice(&svertices[i].to_le_bytes());
-        raw.extend_from_slice(&counts[i].to_le_bytes());
-        let ids = &window[i];
-        for e in 0..counts[i] as usize {
-            raw.extend_from_slice(&ids[e].to_le_bytes());
-            raw.extend_from_slice(&weights[base + e].to_le_bytes());
+        let start = out.ids.len();
+        let window = &ranges[ranges.len().saturating_sub(REF_WINDOW)..];
+        let count = out.counts[i] as usize;
+        read_list(&mut r, count, &mut out.ids, window, anchor, &mut scratch)?;
+        if count > 0 {
+            anchor = Some(out.ids[start]);
         }
-        base += counts[i] as usize;
+        ranges.push((start, count));
     }
-    Ok(raw)
+    read_weights(&mut r, total_edges, &mut out.weights)
+}
+
+/// Inverse of [`fragments_from_raw`]: a raw serializer over
+/// [`decode_fragments`].
+pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut f = Frags::default();
+    decode_fragments(coded, &mut f)?;
+    Ok(f.to_raw())
 }
 
 /// BV-codes a bare edge list (`id u32 | w f32` pairs): `count` varint,
@@ -601,7 +667,7 @@ pub fn edges_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(raw.len() / 4 + 8);
     write_u64(&mut out, count as u64);
     let mut w = BitWriter::new();
-    write_list(&mut w, &ids, &[], None);
+    write_list(&mut w, &ids, &[], &[], None, &mut Planner::default());
     write_weights(&mut w, &weights);
     out.extend(w.finish());
     Ok(out)
@@ -612,12 +678,21 @@ pub fn raw_from_edges(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut pos = 0usize;
     let count = read_u64(coded, &mut pos)? as usize;
     let mut r = BitReader::new(&coded[pos..]);
-    let ids = read_list(&mut r, count, &[], None)?;
-    let weights = read_weights(&mut r, count)?;
+    let mut ids = Vec::new();
+    read_list(
+        &mut r,
+        count,
+        &mut ids,
+        &[],
+        None,
+        &mut ListScratch::default(),
+    )?;
+    let mut weights = Vec::new();
+    read_weights(&mut r, count, &mut weights)?;
     let mut raw = Vec::with_capacity(count * 8);
-    for i in 0..count {
-        raw.extend_from_slice(&ids[i].to_le_bytes());
-        raw.extend_from_slice(&weights[i].to_le_bytes());
+    for (id, w) in ids.iter().zip(&weights) {
+        raw.extend_from_slice(&id.to_le_bytes());
+        raw.extend_from_slice(&w.to_le_bytes());
     }
     Ok(raw)
 }

@@ -24,18 +24,23 @@ pub fn write_deltas(out: &mut Vec<u8>, ids: &[u32]) {
     }
 }
 
-/// Reads `count` zig-zag delta coded ids.
-pub fn read_deltas(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
-    let mut ids = Vec::with_capacity(count);
+/// Reads `count` zig-zag delta coded ids, appending them to `out`.
+pub fn read_deltas(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    out: &mut Vec<u32>,
+) -> Result<(), CodecError> {
+    out.reserve(count.min(buf.len()));
     let mut prev = 0i64;
     for _ in 0..count {
         let v = prev + unzigzag(read_u64(buf, pos)?);
         let id =
             u32::try_from(v).map_err(|_| CodecError::Corrupt("delta-coded id out of range"))?;
-        ids.push(id);
+        out.push(id);
         prev = v;
     }
-    Ok(ids)
+    Ok(())
 }
 
 /// Appends a bit-packed column: `min` varint, `width` byte, then
@@ -73,10 +78,15 @@ pub fn write_packed(out: &mut Vec<u8>, vals: &[u32]) {
     }
 }
 
-/// Reads a bit-packed column of `count` values.
-pub fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, CodecError> {
+/// Reads a bit-packed column of `count` values, appending them to `out`.
+pub fn read_packed(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    out: &mut Vec<u32>,
+) -> Result<(), CodecError> {
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let min = u32::try_from(read_u64(buf, pos)?)
         .map_err(|_| CodecError::Corrupt("packed column min out of range"))?;
@@ -86,9 +96,10 @@ pub fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>
         return Err(CodecError::Corrupt("packed column width > 32"));
     }
     if width == 0 {
-        return Ok(vec![min; count]);
+        out.resize(out.len() + count, min);
+        return Ok(());
     }
-    let mut vals = Vec::with_capacity(count);
+    out.reserve(count);
     let mut acc = 0u64;
     let mut nbits = 0u32;
     let mask = if width == 32 {
@@ -109,9 +120,9 @@ pub fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>
         let v = min
             .checked_add(delta)
             .ok_or(CodecError::Corrupt("packed column value overflows u32"))?;
-        vals.push(v);
+        out.push(v);
     }
-    Ok(vals)
+    Ok(())
 }
 
 // ------------------------------------------------------- fragment streams
@@ -124,45 +135,117 @@ pub fn read_packed(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>
 //   repeated `svertex u32 LE | count u32 LE | count × (id u32 LE, w f32 LE)`.
 // * Edge list (AdjacencyStore runs): repeated `id u32 LE | w f32 LE`.
 
-pub(crate) struct Frags {
+/// A fragment stream in columns. Every fragment encoder parses into this
+/// and every fragment decoder (raw, gaps, bv) writes into it, so readers
+/// that want fragments never pay for a raw-bytes round trip. The columns
+/// are only written inside this crate, which keeps them consistent:
+/// `counts` sums to the length of `ids` and `weights`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Frags {
+    /// Source vertex of each fragment.
     pub(crate) svertices: Vec<u32>,
+    /// Edge count of each fragment.
     pub(crate) counts: Vec<u32>,
+    /// Neighbour ids of every fragment, back to back.
     pub(crate) ids: Vec<u32>,
+    /// Weight bit patterns, parallel to `ids`.
     pub(crate) weights: Vec<u32>,
 }
 
-pub(crate) fn parse_raw_fragments(raw: &[u8]) -> Result<Frags, CodecError> {
-    let mut f = Frags {
-        svertices: Vec::new(),
-        counts: Vec::new(),
-        ids: Vec::new(),
-        weights: Vec::new(),
-    };
-    let mut pos = 0usize;
-    while pos < raw.len() {
-        if raw.len() - pos < 8 {
-            return Err(CodecError::Corrupt("fragment header truncated"));
-        }
-        let sv = u32::from_le_bytes(raw[pos..pos + 4].try_into().expect("width"));
-        let count = u32::from_le_bytes(raw[pos + 4..pos + 8].try_into().expect("width"));
-        pos += 8;
-        let need = (count as usize)
-            .checked_mul(8)
-            .ok_or(CodecError::Corrupt("fragment edge count overflows"))?;
-        if raw.len() - pos < need {
-            return Err(CodecError::Corrupt("fragment edges truncated"));
-        }
-        f.svertices.push(sv);
-        f.counts.push(count);
-        for e in raw[pos..pos + need].chunks_exact(8) {
-            f.ids
-                .push(u32::from_le_bytes(e[..4].try_into().expect("width")));
-            f.weights
-                .push(u32::from_le_bytes(e[4..].try_into().expect("width")));
-        }
-        pos += need;
+impl Frags {
+    /// Empties every column, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.svertices.clear();
+        self.counts.clear();
+        self.ids.clear();
+        self.weights.clear();
     }
-    Ok(f)
+
+    /// Number of fragments.
+    pub fn len(&self) -> usize {
+        self.svertices.len()
+    }
+
+    /// True if there are no fragments.
+    pub fn is_empty(&self) -> bool {
+        self.svertices.is_empty()
+    }
+
+    /// Number of edges over all fragments.
+    pub fn edge_count(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Length of the raw fragment stream these columns describe.
+    pub fn raw_len(&self) -> usize {
+        8 * (self.svertices.len() + self.ids.len())
+    }
+
+    /// Each fragment as `(svertex, neighbour ids, weight bit patterns)`,
+    /// in stream order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32], &[u32])> + '_ {
+        let mut base = 0usize;
+        self.svertices
+            .iter()
+            .zip(&self.counts)
+            .map(move |(&sv, &count)| {
+                let edges = base..base + count as usize;
+                base = edges.end;
+                (sv, &self.ids[edges.clone()], &self.weights[edges])
+            })
+    }
+
+    /// Replaces the columns with the contents of a raw fragment stream.
+    pub fn parse_raw(&mut self, raw: &[u8]) -> Result<(), CodecError> {
+        self.clear();
+        // Every fragment and every edge takes 8 raw bytes, so this bounds
+        // all four columns.
+        let most = raw.len() / 8;
+        self.svertices.reserve(most);
+        self.counts.reserve(most);
+        self.ids.reserve(most);
+        self.weights.reserve(most);
+        let mut pos = 0usize;
+        while pos < raw.len() {
+            // Every header is checked against the bytes left.
+            if raw.len() - pos < 8 {
+                return Err(CodecError::Corrupt("fragment header truncated"));
+            }
+            let sv = u32::from_le_bytes(raw[pos..pos + 4].try_into().expect("width"));
+            let count = u32::from_le_bytes(raw[pos + 4..pos + 8].try_into().expect("width"));
+            pos += 8;
+            let need = (count as usize)
+                .checked_mul(8)
+                .ok_or(CodecError::Corrupt("fragment edge count overflows"))?;
+            if raw.len() - pos < need {
+                return Err(CodecError::Corrupt("fragment edges truncated"));
+            }
+            self.svertices.push(sv);
+            self.counts.push(count);
+            for e in raw[pos..pos + need].chunks_exact(8) {
+                // One little-endian load: id in the low half, weight above.
+                let edge = u64::from_le_bytes(e.try_into().expect("width"));
+                self.ids.push(edge as u32);
+                self.weights.push((edge >> 32) as u32);
+            }
+            pos += need;
+        }
+        Ok(())
+    }
+
+    /// Serializes the columns back into a raw fragment stream.
+    pub fn to_raw(&self) -> Vec<u8> {
+        let mut raw = Vec::with_capacity(self.raw_len());
+        for (sv, ids, weights) in self.iter() {
+            raw.extend_from_slice(&sv.to_le_bytes());
+            raw.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+            for (id, w) in ids.iter().zip(weights) {
+                raw.extend_from_slice(&id.to_le_bytes());
+                raw.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        raw
+    }
 }
 
 /// Gap-codes a raw fragment stream. Layout: `nfrags varint`, zig-zag
@@ -170,7 +253,8 @@ pub(crate) fn parse_raw_fragments(raw: &[u8]) -> Result<Frags, CodecError> {
 /// delta-coded neighbour ids, then one bit-packed weight column over all
 /// edges.
 pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let f = parse_raw_fragments(raw)?;
+    let mut f = Frags::default();
+    f.parse_raw(raw)?;
     let mut out = Vec::with_capacity(raw.len() / 4 + 16);
     write_u64(&mut out, f.svertices.len() as u64);
     write_deltas(&mut out, &f.svertices);
@@ -186,36 +270,33 @@ pub fn fragments_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
-/// Inverse of [`fragments_from_raw`]: rebuilds the raw fragment stream.
-pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// Decodes a body written by [`fragments_from_raw`] into `out`'s columns;
+/// on error the columns are left partly filled (see
+/// [`crate::decode_fragments`]).
+pub(crate) fn decode_fragments(coded: &[u8], out: &mut Frags) -> Result<(), CodecError> {
+    out.clear();
     let mut pos = 0usize;
     let nfrags = read_u64(coded, &mut pos)? as usize;
-    let svertices = read_deltas(coded, &mut pos, nfrags)?;
-    let mut counts = Vec::with_capacity(nfrags);
+    read_deltas(coded, &mut pos, nfrags, &mut out.svertices)?;
+    out.counts.reserve(nfrags);
     let mut total_edges = 0usize;
     for _ in 0..nfrags {
         let c = u32::try_from(read_u64(coded, &mut pos)?)
             .map_err(|_| CodecError::Corrupt("fragment count out of range"))?;
         total_edges += c as usize;
-        counts.push(c);
+        out.counts.push(c);
     }
-    let mut ids = Vec::with_capacity(total_edges);
-    for &c in &counts {
-        ids.extend(read_deltas(coded, &mut pos, c as usize)?);
-    }
-    let weights = read_packed(coded, &mut pos, total_edges)?;
-    let mut raw = Vec::with_capacity(nfrags * 8 + total_edges * 8);
-    let mut base = 0usize;
     for i in 0..nfrags {
-        raw.extend_from_slice(&svertices[i].to_le_bytes());
-        raw.extend_from_slice(&counts[i].to_le_bytes());
-        for e in 0..counts[i] as usize {
-            raw.extend_from_slice(&ids[base + e].to_le_bytes());
-            raw.extend_from_slice(&weights[base + e].to_le_bytes());
-        }
-        base += counts[i] as usize;
+        read_deltas(coded, &mut pos, out.counts[i] as usize, &mut out.ids)?;
     }
-    Ok(raw)
+    read_packed(coded, &mut pos, total_edges, &mut out.weights)
+}
+
+/// Inverse of [`fragments_from_raw`]: rebuilds the raw fragment stream.
+pub fn raw_from_fragments(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut f = Frags::default();
+    decode_fragments(coded, &mut f)?;
+    Ok(f.to_raw())
 }
 
 /// Gap-codes a bare edge list (`id u32 LE | w f32 LE` pairs): `count`
@@ -242,8 +323,10 @@ pub fn edges_from_raw(raw: &[u8]) -> Result<Vec<u8>, CodecError> {
 pub fn raw_from_edges(coded: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut pos = 0usize;
     let count = read_u64(coded, &mut pos)? as usize;
-    let ids = read_deltas(coded, &mut pos, count)?;
-    let weights = read_packed(coded, &mut pos, count)?;
+    let mut ids = Vec::new();
+    read_deltas(coded, &mut pos, count, &mut ids)?;
+    let mut weights = Vec::new();
+    read_packed(coded, &mut pos, count, &mut weights)?;
     let mut raw = Vec::with_capacity(count * 8);
     for i in 0..count {
         raw.extend_from_slice(&ids[i].to_le_bytes());
@@ -348,8 +431,9 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             write_packed(&mut buf, &vals);
-            let mut pos = 0;
-            assert_eq!(read_packed(&buf, &mut pos, vals.len()).unwrap(), vals);
+            let (mut pos, mut back) = (0, Vec::new());
+            read_packed(&buf, &mut pos, vals.len(), &mut back).unwrap();
+            assert_eq!(back, vals);
             assert_eq!(pos, buf.len());
         }
     }

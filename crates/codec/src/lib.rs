@@ -30,6 +30,8 @@ pub mod ef;
 pub mod gaps;
 pub mod varint;
 
+pub use gaps::Frags;
+
 use std::fmt;
 use std::str::FromStr;
 
@@ -265,24 +267,21 @@ pub fn encode_extent(choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> Vec<u
 }
 
 /// Decodes an extent produced by [`encode_extent`] back into its raw
-/// `logical_len` bytes.
+/// `logical_len` bytes. Coded fragment streams go through the column
+/// decoder ([`decode_fragments`]) and are serialized back to raw bytes.
 pub fn decode_extent(
     kind: ExtentKind,
     coded: &[u8],
     logical_len: usize,
 ) -> Result<Vec<u8>, CodecError> {
     let (&tag, body) = coded.split_first().ok_or(CodecError::Truncated)?;
-    let raw = match tag {
-        TAG_RAW => RawCodec.decode(body, logical_len)?,
-        TAG_GAPS => match kind {
-            ExtentKind::Fragments => gaps::raw_from_fragments(body)?,
-            ExtentKind::Edges => gaps::raw_from_edges(body)?,
-        },
-        TAG_BLOCK => block::decompress(body, logical_len)?,
-        TAG_BV => match kind {
-            ExtentKind::Fragments => bv::raw_from_fragments(body)?,
-            ExtentKind::Edges => bv::raw_from_edges(body)?,
-        },
+    let raw = match (tag, kind) {
+        (TAG_RAW, _) => RawCodec.decode(body, logical_len)?,
+        (TAG_BLOCK, _) => block::decompress(body, logical_len)?,
+        (TAG_GAPS, ExtentKind::Fragments) => gaps::raw_from_fragments(body)?,
+        (TAG_GAPS, ExtentKind::Edges) => gaps::raw_from_edges(body)?,
+        (TAG_BV, ExtentKind::Fragments) => bv::raw_from_fragments(body)?,
+        (TAG_BV, ExtentKind::Edges) => bv::raw_from_edges(body)?,
         _ => return Err(CodecError::Corrupt("unknown extent tag")),
     };
     if raw.len() != logical_len {
@@ -292,6 +291,52 @@ pub fn decode_extent(
         });
     }
     Ok(raw)
+}
+
+/// Decodes an [`ExtentKind::Fragments`] extent of any tag straight into
+/// `out`'s columns: gaps and bv bodies decode into them directly, raw and
+/// block bodies are parsed into them. The stream the columns describe
+/// must be exactly `logical_len` bytes. On error `out` is left empty.
+pub fn decode_fragments(
+    coded: &[u8],
+    logical_len: usize,
+    out: &mut Frags,
+) -> Result<(), CodecError> {
+    let decoded = decode_fragments_tagged(coded, logical_len, out);
+    if decoded.is_err() {
+        out.clear();
+    }
+    decoded
+}
+
+fn decode_fragments_tagged(
+    coded: &[u8],
+    logical_len: usize,
+    out: &mut Frags,
+) -> Result<(), CodecError> {
+    let (&tag, body) = coded.split_first().ok_or(CodecError::Truncated)?;
+    match tag {
+        TAG_RAW => {
+            if body.len() != logical_len {
+                return Err(CodecError::LengthMismatch {
+                    expected: logical_len,
+                    got: body.len(),
+                });
+            }
+            out.parse_raw(body)?;
+        }
+        TAG_BLOCK => out.parse_raw(&block::decompress(body, logical_len)?)?,
+        TAG_GAPS => gaps::decode_fragments(body, out)?,
+        TAG_BV => bv::decode_fragments(body, out)?,
+        _ => return Err(CodecError::Corrupt("unknown extent tag")),
+    }
+    if out.raw_len() != logical_len {
+        return Err(CodecError::LengthMismatch {
+            expected: logical_len,
+            got: out.raw_len(),
+        });
+    }
+    Ok(())
 }
 
 /// Encodes a self-describing blob frame:

@@ -25,11 +25,11 @@ use super::{run_init_step, send_plain};
 use crate::metrics::StepReport;
 use crate::program::VertexProgram;
 use crate::worker::{MsgAccumulator, Worker};
-use hybridgraph_graph::{BlockId, VertexId, WorkerId};
+use hybridgraph_graph::{BlockId, Edge, VertexId, WorkerId};
 use hybridgraph_net::flow::ThresholdBuffer;
 use hybridgraph_net::packet::Packet;
-use hybridgraph_net::wire::{decode_batch, encode_batch, BatchKind};
-use hybridgraph_storage::{AccessClass, Record};
+use hybridgraph_net::wire::{decode_batch, encode_batch, BatchKind, DenseCombined};
+use hybridgraph_storage::{AccessClass, Frags, Record};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
@@ -101,6 +101,11 @@ pub fn run_bpull_step<P: VertexProgram>(
     let mut done_peers = 0usize;
     let mut push_inbound: Vec<Vec<(VertexId, P::Message)>> =
         (0..workers).map(|_| Vec::new()).collect();
+    // Pull-Respond scratch, reused by every request this worker serves in
+    // one superstep: the decoded eblock columns and the per-block
+    // combining slots (the paper's sub-buffer).
+    let mut cols = Frags::default();
+    let mut dense = DenseCombined::default();
     loop {
         if inflight.is_empty() && pending.is_empty() && !my_done {
             my_done = true;
@@ -118,7 +123,9 @@ pub fn run_bpull_step<P: VertexProgram>(
         }
         let env = w.recv_timed(&mut blocking);
         match env.packet {
-            Packet::PullRequest { block } => serve_pull(w, env.from, block, &mut rep)?,
+            Packet::PullRequest { block } => {
+                serve_pull(w, env.from, block, &mut rep, &mut cols, &mut dense)?
+            }
             Packet::Messages {
                 kind,
                 payload,
@@ -193,17 +200,30 @@ pub fn run_bpull_step<P: VertexProgram>(
 }
 
 /// Pull-Respond (Algorithm 2): answers a request for Vblock `block`.
+///
+/// Combinable messages are folded into the dense slots as they are
+/// generated; the rest are collected and sent concatenated.
 fn serve_pull<P: VertexProgram>(
     w: &Worker<P>,
     from: WorkerId,
     block: BlockId,
     rep: &mut StepReport,
+    cols: &mut Frags,
+    dense: &mut DenseCombined<P::Message>,
 ) -> io::Result<()> {
     let ve = w
         .veblock
         .as_ref()
         .expect("b-pull requires the VE-BLOCK store");
     let program = Arc::clone(&w.program);
+    let combiner = if w.combinable() {
+        program.combiner()
+    } else {
+        None
+    };
+    if combiner.is_some() {
+        dense.reset(w.layout.block_range(block));
+    }
     let mut out: Vec<(VertexId, P::Message)> = Vec::new();
     for (jidx, j) in w.layout.blocks_of_worker(w.id).enumerate() {
         // X_j.res and bitmap short-circuit: skip blocks with no responders
@@ -212,78 +232,86 @@ fn serve_pull<P: VertexProgram>(
             continue;
         }
         let info = *ve.eblock_info(j, block);
-        let frags = ve.scan_eblock(j, block)?;
+        ve.scan_eblock_into(j, block, cols)?;
         // Physical stored bytes (== logical without a codec), split
         // proportionally into edge and fragment-auxiliary shares.
         let (stored_edge, stored_aux) = info.stored_split();
         rep.sem.bpull_edge_bytes += stored_edge;
         rep.sem.fragment_aux_bytes += stored_aux;
-        for frag in frags {
-            let local = w.local(frag.src);
+        for (src, ids, weights) in cols.iter() {
+            let src = VertexId(src);
+            let local = w.local(src);
             if !w.respond.get(local) {
                 continue;
             }
-            let val = w.values.read_one(frag.src)?;
+            let val = w.values.read_one(src)?;
             rep.sem.svertex_rand_bytes += P::Value::BYTES as u64;
             let outd = w.out_degrees[local];
-            for e in &frag.edges {
-                if let Some(m) = program.message(frag.src, &val, outd, e) {
+            for (&dst, &bits) in ids.iter().zip(weights) {
+                let e = Edge::weighted(VertexId(dst), f32::from_bits(bits));
+                if let Some(m) = program.message(src, &val, outd, &e) {
                     rep.messages_produced += 1;
-                    out.push((e.dst, m));
+                    match combiner {
+                        Some(c) => dense.fold(e.dst, m, c),
+                        None => out.push((e.dst, m)),
+                    }
                 }
             }
         }
     }
-    send_response(w, from, block, out);
+    if combiner.is_some() {
+        send_combined(w, from, block, dense);
+    } else {
+        send_concatenated(w, from, block, out);
+    }
     w.ep.send(from, Packet::EndOfResponses { block });
     Ok(())
 }
 
-/// Sends a block's response, concatenated or fully combined.
-///
-/// Combined responses are buffered whole before sending ("messages in a
-/// sub-buffer will not be sent until all messages are produced", §4.3);
-/// concatenate-only responses flush in sending-threshold chunks.
-fn send_response<P: VertexProgram>(
+/// Sends a block's fully combined response in one batch: "messages in a
+/// sub-buffer will not be sent until all messages are produced" (§4.3).
+fn send_combined<P: VertexProgram>(
+    w: &Worker<P>,
+    to: WorkerId,
+    block: BlockId,
+    dense: &mut DenseCombined<P::Message>,
+) {
+    if dense.raw_messages() == 0 {
+        return;
+    }
+    let (payload, stats) = dense.finish();
+    w.ep.send(
+        to,
+        Packet::Messages {
+            kind: BatchKind::Combined,
+            payload: payload.into(),
+            stats,
+            for_block: Some(block),
+        },
+    );
+}
+
+/// Sends a block's concatenate-only response in sending-threshold chunks.
+fn send_concatenated<P: VertexProgram>(
     w: &Worker<P>,
     to: WorkerId,
     block: BlockId,
     mut out: Vec<(VertexId, P::Message)>,
 ) {
-    if out.is_empty() {
-        return;
-    }
-    let kind = w.batch_kind();
-    match kind {
-        BatchKind::Combined => {
-            let (payload, stats) = encode_batch(kind, &mut out, w.program.combiner());
-            w.ep.send(
-                to,
-                Packet::Messages {
-                    kind,
-                    payload: payload.into(),
-                    stats,
-                    for_block: Some(block),
-                },
-            );
-        }
-        _ => {
-            out.sort_by_key(|(d, _)| *d);
-            let per = (w.cfg.sending_threshold / (4 + P::Message::BYTES)).max(1);
-            for chunk in out.chunks(per) {
-                let mut chunk = chunk.to_vec();
-                let (payload, stats) = encode_batch(BatchKind::Concatenated, &mut chunk, None);
-                w.ep.send(
-                    to,
-                    Packet::Messages {
-                        kind: BatchKind::Concatenated,
-                        payload: payload.into(),
-                        stats,
-                        for_block: Some(block),
-                    },
-                );
-            }
-        }
+    out.sort_by_key(|(d, _)| *d);
+    let per = (w.cfg.sending_threshold / (4 + P::Message::BYTES)).max(1);
+    for chunk in out.chunks(per) {
+        let mut chunk = chunk.to_vec();
+        let (payload, stats) = encode_batch(BatchKind::Concatenated, &mut chunk, None);
+        w.ep.send(
+            to,
+            Packet::Messages {
+                kind: BatchKind::Concatenated,
+                payload: payload.into(),
+                stats,
+                for_block: Some(block),
+            },
+        );
     }
 }
 

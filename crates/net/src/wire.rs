@@ -138,6 +138,89 @@ pub fn encode_batch<M: Record>(
     }
 }
 
+/// Dense per-block combining: the [`BatchKind::Combined`] encoding of a
+/// batch whose destinations all lie in one known vertex range, folded
+/// into a slot array indexed by `dst - range.start` instead of sorted.
+///
+/// b-pull responds to a request for one Vblock, so every message it
+/// generates for that request lands in the block's range. Folding each
+/// message into its slot in generation order applies `combine(acc, m)`
+/// in exactly the sequence that [`encode_batch`]'s stable sort followed
+/// by a left fold does, and the payload is emitted in ascending `dst`,
+/// so payload bytes and [`WireStats`] are identical to
+/// `encode_batch(Combined, …)` over the same messages. The slot array is
+/// reused across batches.
+pub struct DenseCombined<M> {
+    base: u32,
+    slots: Vec<Option<M>>,
+    raw: u64,
+}
+
+impl<M: Record> Default for DenseCombined<M> {
+    fn default() -> Self {
+        DenseCombined {
+            base: 0,
+            slots: Vec::new(),
+            raw: 0,
+        }
+    }
+}
+
+impl<M: Record> DenseCombined<M> {
+    /// Starts an empty batch for destinations in `range`.
+    pub fn reset(&mut self, range: std::ops::Range<u32>) {
+        if self.raw != 0 {
+            // A batch folded but never finished: drop what it holds.
+            self.slots.fill(None);
+        }
+        // `finish` leaves every slot empty, so this writes only the slots
+        // a wider range adds.
+        self.slots.resize(range.len(), None);
+        self.base = range.start;
+        self.raw = 0;
+    }
+
+    /// Folds one message into its destination's slot. `dst` must lie in
+    /// the range given to [`DenseCombined::reset`].
+    #[inline]
+    pub fn fold(&mut self, dst: VertexId, m: M, combiner: &dyn Combiner<M>) {
+        let slot = &mut self.slots[(dst.0 - self.base) as usize];
+        *slot = Some(match slot.take() {
+            None => m,
+            Some(acc) => combiner.combine(&acc, &m),
+        });
+        self.raw += 1;
+    }
+
+    /// Messages folded since the last reset.
+    pub fn raw_messages(&self) -> u64 {
+        self.raw
+    }
+
+    /// Emits the combined payload in ascending `dst` and empties every
+    /// slot.
+    pub fn finish(&mut self) -> (Vec<u8>, WireStats) {
+        let groups_bound = (self.raw as usize).min(self.slots.len());
+        let mut out = Vec::with_capacity(groups_bound * (4 + M::BYTES));
+        let mut groups = 0u64;
+        for (off, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(acc) = slot.take() {
+                VertexId(self.base + off as u32).append_to(&mut out);
+                acc.append_to(&mut out);
+                groups += 1;
+            }
+        }
+        let stats = WireStats {
+            raw_messages: self.raw,
+            wire_values: groups,
+            wire_bytes: out.len() as u64,
+            saved_messages: self.raw.saturating_sub(groups),
+        };
+        self.raw = 0;
+        (out, stats)
+    }
+}
+
 /// Decodes a batch back into `(dst, value)` pairs.
 ///
 /// Concatenated batches expand to one pair per value; combined batches
@@ -263,6 +346,99 @@ mod tests {
         let (_, conc) = encode_batch(BatchKind::Concatenated, &mut batch, None);
         assert!(conc.wire_bytes < plain.wire_bytes);
         assert_eq!(conc.saved_messages, 90);
+    }
+
+    /// Runs `msgs` through both combined encodings for destinations in
+    /// `range` and requires identical payload bytes and stats.
+    fn dense_matches_sorted<M: Record>(
+        dense: &mut DenseCombined<M>,
+        range: std::ops::Range<u32>,
+        msgs: &[(VertexId, M)],
+        combiner: &dyn Combiner<M>,
+        what: &str,
+    ) {
+        dense.reset(range);
+        for (dst, m) in msgs {
+            dense.fold(*dst, m.clone(), combiner);
+        }
+        let got = dense.finish();
+        let mut sorted = msgs.to_vec();
+        let want = encode_batch(BatchKind::Combined, &mut sorted, Some(combiner));
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// A combiner that keeps the smaller value and lets NaN through on
+    /// either side, so the fold order shows in the result bits.
+    struct NanMin;
+
+    impl Combiner<f32> for NanMin {
+        fn combine(&self, a: &f32, b: &f32) -> f32 {
+            if a.is_nan() || b < a {
+                *b
+            } else {
+                *a
+            }
+        }
+    }
+
+    #[test]
+    fn dense_fold_matches_encode_batch_combined() {
+        use hybridgraph_graph::rng::SplitMix64;
+        let mut sum = DenseCombined::<f64>::default();
+        let mut min = DenseCombined::<f32>::default();
+        for seed in [7u64, 1913, 0xdead_beef] {
+            println!("dense fold seed {seed}");
+            let mut r = SplitMix64::new(seed);
+            for case in 0..200 {
+                let start = r.below_u32(1 << 20);
+                let width = match case % 4 {
+                    0 => 1,
+                    1 => r.range_usize(2, 8),
+                    _ => r.range_usize(8, 400),
+                } as u32;
+                let n = match case % 5 {
+                    0 => 0,
+                    1 => 1,
+                    _ => r.range_usize(2, 3 * width as usize + 2),
+                };
+                let dst = |r: &mut SplitMix64| VertexId(start + r.below_u32(width));
+                let what = format!("seed {seed} case {case}");
+                // f64 sums spanning 1e-300..1e300 with mixed signs: the
+                // grouping changes the result, so only the same fold
+                // order reproduces it.
+                let msgs: Vec<(VertexId, f64)> = (0..n)
+                    .map(|_| {
+                        let mag = 10f64.powi(r.range_i64_inclusive(-300, 300) as i32);
+                        let sign = if r.next_bool() { -1.0 } else { 1.0 };
+                        (dst(&mut r), sign * mag * (1.0 + r.next_f64()))
+                    })
+                    .collect();
+                if case % 7 == 3 {
+                    // A batch abandoned before `finish` must not leak into
+                    // the next one.
+                    sum.reset(start..start + width);
+                    for (d, m) in &msgs {
+                        sum.fold(*d, *m, &SumCombiner);
+                    }
+                }
+                dense_matches_sorted(&mut sum, start..start + width, &msgs, &SumCombiner, &what);
+                // f32 minimum with NaNs and signed zeros, under the
+                // library combiner and one where NaN is order-sensitive.
+                let msgs: Vec<(VertexId, f32)> = (0..n)
+                    .map(|_| {
+                        let v = match r.below_u32(6) {
+                            0 => f32::NAN,
+                            1 => -0.0,
+                            2 => 0.0,
+                            _ => r.range_f32(-1e30, 1e30),
+                        };
+                        (dst(&mut r), v)
+                    })
+                    .collect();
+                dense_matches_sorted(&mut min, start..start + width, &msgs, &MinCombiner, &what);
+                dense_matches_sorted(&mut min, start..start + width, &msgs, &NanMin, &what);
+            }
+        }
     }
 
     #[test]

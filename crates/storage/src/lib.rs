@@ -50,7 +50,8 @@ pub mod vfs;
 
 pub use checkpoint::{CheckpointReader, CheckpointWriter};
 pub use hybridgraph_codec::{
-    decode_extent, encode_extent, Codec, CodecChoice, CodecError, ExtentKind,
+    decode_extent, decode_fragments, encode_extent, Codec, CodecChoice, CodecError, ExtentKind,
+    Frags,
 };
 pub use msg_log::{MsgLogReader, MsgLogWriter};
 pub use profile::DeviceProfile;

@@ -21,13 +21,11 @@
 //! each source block `i` — random access served by the EF directory,
 //! never a whole-directory or whole-extent decode.
 
-use crate::record::Record;
 use crate::stats::AccessClass;
-use crate::veblock::Fragment;
+use crate::veblock::{fragments_from_columns, Fragment};
 use crate::vfs::{Vfs, VfsFile};
 use hybridgraph_codec::ef::EliasFano;
-use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind};
-use hybridgraph_graph::{Edge, VertexId};
+use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind, Frags};
 use std::io;
 
 /// Accepts Eblock extents in index order and accumulates the directory.
@@ -186,20 +184,10 @@ impl StreamEblockStore {
     /// billion-edge sweep parses [`read_eblock_raw`] in place instead).
     pub fn scan_eblock(&self, src_block: u32, dst_block: u32) -> io::Result<Vec<Fragment>> {
         let bytes = self.read_eblock_raw(src_block, dst_block, AccessClass::SeqRead)?;
-        let mut fragments = Vec::new();
-        let mut at = 0usize;
-        while at < bytes.len() {
-            let src = VertexId(u32::read_from(&bytes[at..at + 4]));
-            let count = u32::read_from(&bytes[at + 4..at + 8]) as usize;
-            at += 8;
-            let mut edges = Vec::with_capacity(count);
-            for _ in 0..count {
-                edges.push(Edge::read_from(&bytes[at..at + 8]));
-                at += 8;
-            }
-            fragments.push(Fragment { src, edges });
-        }
-        Ok(fragments)
+        let mut cols = Frags::default();
+        cols.parse_raw(&bytes)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        Ok(fragments_from_columns(&cols))
     }
 
     /// Total physical bytes of all extents.

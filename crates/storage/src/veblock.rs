@@ -21,7 +21,7 @@
 use crate::record::Record;
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind};
+use hybridgraph_codec::{decode_fragments, encode_extent, CodecChoice, ExtentKind, Frags};
 use hybridgraph_graph::{BlockId, BlockLayout, Edge, Graph, VertexId, WorkerId};
 use std::io;
 
@@ -387,14 +387,28 @@ impl VeBlockStore {
     /// extent (edges + auxiliary data) as a sequential read — physical
     /// stored bytes on the device, logical uncompressed bytes beside them;
     /// the caller is responsible for the random svertex value reads.
+    /// Stored bytes that do not decode to exactly the indexed fragments
+    /// are an [`io::ErrorKind::InvalidData`] error.
     pub fn scan_eblock(&self, j: BlockId, i: BlockId) -> io::Result<Vec<Fragment>> {
-        let jl = self.local_of(j);
-        let info = self.index[jl][i.index()];
-        if info.bytes == 0 {
-            return Ok(Vec::new());
-        }
-        let bytes = if self.codec.is_none() {
-            self.files[jl].read_vec(AccessClass::SeqRead, info.offset, info.bytes as usize)?
+        let mut cols = Frags::default();
+        self.scan_eblock_into(j, i, &mut cols)?;
+        Ok(fragments_from_columns(&cols))
+    }
+
+    /// [`VeBlockStore::scan_eblock`] into columns: the same read, the
+    /// same accounting and the same checks, but the fragments land in
+    /// `cols` (replacing its contents) instead of one vector per
+    /// fragment, so a caller that reuses `cols` allocates nothing per
+    /// fragment.
+    pub fn scan_eblock_into(&self, j: BlockId, i: BlockId, cols: &mut Frags) -> io::Result<()> {
+        let Some((jl, info)) = self.extent(j, i) else {
+            cols.clear();
+            return Ok(());
+        };
+        if self.codec.is_none() {
+            let raw =
+                self.files[jl].read_vec(AccessClass::SeqRead, info.offset, info.bytes as usize)?;
+            cols.parse_raw(&raw)
         } else {
             let coded = self.files[jl].read_vec_coded(
                 AccessClass::SeqRead,
@@ -402,25 +416,51 @@ impl VeBlockStore {
                 info.stored_bytes as usize,
                 info.bytes,
             )?;
-            decode_extent(ExtentKind::Fragments, &coded, info.bytes as usize)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        };
-        let mut fragments = Vec::with_capacity(info.fragments as usize);
-        let mut at = 0usize;
-        while at < bytes.len() {
-            let src = VertexId(u32::read_from(&bytes[at..at + 4]));
-            let count = u32::read_from(&bytes[at + 4..at + 8]) as usize;
-            at += 8;
-            let mut edges = Vec::with_capacity(count);
-            for _ in 0..count {
-                edges.push(Edge::read_from(&bytes[at..at + 8]));
-                at += 8;
-            }
-            fragments.push(Fragment { src, edges });
+            decode_fragments(&coded, info.bytes as usize, cols)
         }
-        debug_assert_eq!(fragments.len(), info.fragments as usize);
-        Ok(fragments)
+        .map_err(|e| eblock_invalid(j, i, e.to_string()))?;
+        check_fragment_count(j, i, cols.len(), &info)
     }
+
+    /// The local index and extent of a non-empty Eblock `g_{j,i}`.
+    fn extent(&self, j: BlockId, i: BlockId) -> Option<(usize, EblockInfo)> {
+        let jl = self.local_of(j);
+        let info = self.index[jl][i.index()];
+        (info.bytes > 0).then_some((jl, info))
+    }
+}
+
+/// The error for stored Eblock bytes that do not decode as indexed.
+fn eblock_invalid(j: BlockId, i: BlockId, why: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("eblock g_{{{j},{i}}}: {why}"),
+    )
+}
+
+fn check_fragment_count(j: BlockId, i: BlockId, got: usize, info: &EblockInfo) -> io::Result<()> {
+    if got != info.fragments as usize {
+        return Err(eblock_invalid(
+            j,
+            i,
+            format!("decoded {got} fragments, index says {}", info.fragments),
+        ));
+    }
+    Ok(())
+}
+
+/// Splits decoded fragment columns into one [`Fragment`] per source.
+pub(crate) fn fragments_from_columns(cols: &Frags) -> Vec<Fragment> {
+    cols.iter()
+        .map(|(src, ids, weights)| Fragment {
+            src: VertexId(src),
+            edges: ids
+                .iter()
+                .zip(weights)
+                .map(|(&dst, &w)| Edge::weighted(VertexId(dst), f32::from_bits(w)))
+                .collect(),
+        })
+        .collect()
 }
 
 /// Little helper so `u32` values can append themselves like [`Record`]s.
@@ -680,6 +720,66 @@ mod tests {
         let d = vfs.stats().snapshot().delta(&before);
         assert_eq!(d.seq_read_bytes, info.stored_bytes);
         assert_eq!(d.seq_read_logical_bytes, info.bytes);
+    }
+
+    /// The first eblock of local block 0 holding at least two fragments.
+    fn eblock_with_two_fragments(s: &VeBlockStore, l: &BlockLayout) -> (BlockId, EblockInfo) {
+        l.block_ids()
+            .map(|i| (i, *s.eblock_info(BlockId(0), i)))
+            .find(|(_, info)| info.fragments >= 2)
+            .expect("an eblock with two fragments")
+    }
+
+    #[test]
+    fn corrupt_eblock_is_invalid_data_not_a_panic() {
+        let g = gen::uniform(60, 900, 5);
+        let (_, l) = layout(60, 1, 2);
+        let read_u32 = |f: &VfsFile, off: u64| {
+            let mut b = [0u8; 4];
+            f.read_at(AccessClass::SeqRead, off, &mut b).unwrap();
+            u32::from_le_bytes(b)
+        };
+        let expect_invalid = |s: &VeBlockStore, i: BlockId, what: &str| {
+            let err = s.scan_eblock(BlockId(0), i).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            let err = s
+                .scan_eblock_into(BlockId(0), i, &mut Frags::default())
+                .expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        };
+
+        // Raw store: a count that runs past the extent, then a count that
+        // swallows the next fragment so the stream parses but holds one
+        // fragment fewer than the index says.
+        for grow in [u32::MAX, 0] {
+            let vfs = MemVfs::new();
+            let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
+            let (i, info) = eblock_with_two_fragments(&s, &l);
+            let f = vfs.open("eblk_0").unwrap();
+            let c0 = read_u32(&f, info.offset + 4);
+            let c1 = read_u32(&f, info.offset + 8 + 8 * u64::from(c0) + 4);
+            let count = if grow == 0 { c0 + 1 + c1 } else { grow };
+            f.write_at(AccessClass::SeqWrite, info.offset + 4, &count.to_le_bytes())
+                .unwrap();
+            expect_invalid(&s, i, &format!("raw count {count}"));
+        }
+
+        // BV store: an unknown tag, a raw tag over a coded body, and a
+        // body overwritten with noise.
+        for (what, patch) in [
+            ("unknown tag", vec![0x7fu8]),
+            ("raw tag", vec![0u8]),
+            ("noise", vec![0xff; 6]),
+        ] {
+            let vfs = MemVfs::new();
+            let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), CodecChoice::Bv).unwrap();
+            let (i, info) = eblock_with_two_fragments(&s, &l);
+            assert!(info.stored_bytes > patch.len() as u64, "{what}");
+            let f = vfs.open("eblk_0").unwrap();
+            f.write_at(AccessClass::SeqWrite, info.offset, &patch)
+                .unwrap();
+            expect_invalid(&s, i, what);
+        }
     }
 
     #[test]

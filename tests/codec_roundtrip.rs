@@ -175,3 +175,143 @@ fn qt_audit_deterministic_run_to_run_under_codec() {
     assert_eq!(a.total_io_bytes(), b.total_io_bytes());
     assert_eq!(a.total_io_logical_bytes(), b.total_io_logical_bytes());
 }
+
+// ---- Pinned codec bytes ---------------------------------------------------
+//
+// FNV-1a fingerprints of every coded extent, every decoded extent and
+// every `scan_eblock` result over two seeded graphs. The constants were
+// captured before the fragment decoder, the BV planner and the eblock
+// scan were rewritten for speed; any such rewrite must keep every byte.
+
+use hybridgraph_graph::BlockLayout;
+use hybridgraph_storage::veblock::VeBlockStore;
+
+/// FNV-1a 64, continued from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The graphs the pins cover: a seeded RMAT and the LiveJ stand-in at
+/// 1/2000, each split over 2 workers × 6 blocks.
+fn pinned_graphs() -> Vec<(&'static str, Graph, BlockLayout)> {
+    [
+        (
+            "rmat",
+            gen::rmat(3000, 40_000, gen::RmatParams::default(), 41),
+        ),
+        ("livej", Dataset::LiveJ.build_scaled(2000)),
+    ]
+    .into_iter()
+    .map(|(name, g)| {
+        let p = Partition::range(g.num_vertices(), 2);
+        let l = BlockLayout::uniform(&p, 6);
+        (name, g, l)
+    })
+    .collect()
+}
+
+/// Hashes every `scan_eblock(j, i)` of both workers' stores under
+/// `codec`, in `(worker, j, i)` order; also returns the raw fragment
+/// stream of every non-empty eblock.
+fn scan_all(g: &Graph, l: &BlockLayout, codec: CodecChoice) -> (u64, Vec<Vec<u8>>) {
+    let mut h = FNV_SEED;
+    let mut raws = Vec::new();
+    for w in 0..2 {
+        let s = VeBlockStore::build_with(&MemVfs::new(), g, l, WorkerId(w), codec).unwrap();
+        for j in l.blocks_of_worker(WorkerId(w)) {
+            for i in l.block_ids() {
+                let mut raw = Vec::new();
+                for f in s.scan_eblock(j, i).unwrap() {
+                    raw.extend_from_slice(&f.src.0.to_le_bytes());
+                    raw.extend_from_slice(&(f.edges.len() as u32).to_le_bytes());
+                    for e in &f.edges {
+                        raw.extend_from_slice(&e.dst.0.to_le_bytes());
+                        raw.extend_from_slice(&e.weight.to_bits().to_le_bytes());
+                    }
+                }
+                h = fnv1a(fnv1a(h, &(raw.len() as u64).to_le_bytes()), &raw);
+                if !raw.is_empty() {
+                    raws.push(raw);
+                }
+            }
+        }
+    }
+    (h, raws)
+}
+
+/// `[scan None, scan Gaps, scan Bv, encode Gaps, encode Bv, decode]`.
+fn codec_fingerprints(g: &Graph, l: &BlockLayout) -> [u64; 6] {
+    let (scan_none, fragments) = scan_all(g, l, CodecChoice::None);
+    let (scan_gaps, _) = scan_all(g, l, CodecChoice::Gaps);
+    let (scan_bv, _) = scan_all(g, l, CodecChoice::Bv);
+    let mut extents: Vec<(ExtentKind, Vec<u8>)> = fragments
+        .into_iter()
+        .map(|raw| (ExtentKind::Fragments, raw))
+        .collect();
+    for v in g.vertices() {
+        let row = g.out_edges(v);
+        if !row.is_empty() {
+            let mut raw = Vec::with_capacity(row.len() * 8);
+            for e in row {
+                raw.extend_from_slice(&e.dst.0.to_le_bytes());
+                raw.extend_from_slice(&e.weight.to_bits().to_le_bytes());
+            }
+            extents.push((ExtentKind::Edges, raw));
+        }
+    }
+    let mut enc = [FNV_SEED; 2];
+    let mut dec = FNV_SEED;
+    for (kind, raw) in &extents {
+        for (slot, codec) in [CodecChoice::Gaps, CodecChoice::Bv].into_iter().enumerate() {
+            let coded = encode_extent(codec, *kind, raw);
+            enc[slot] = fnv1a(
+                fnv1a(enc[slot], &(coded.len() as u64).to_le_bytes()),
+                &coded,
+            );
+            let back = decode_extent(*kind, &coded, raw.len()).unwrap();
+            assert_eq!(&back, raw, "{codec:?} {kind:?} round trip");
+            dec = fnv1a(dec, &back);
+        }
+    }
+    [scan_none, scan_gaps, scan_bv, enc[0], enc[1], dec]
+}
+
+#[test]
+fn codec_paths_match_pinned_bytes() {
+    let pinned: [(&str, [u64; 6]); 2] = [
+        (
+            "rmat",
+            [
+                0x33c3_7a66_f660_8968,
+                0x33c3_7a66_f660_8968,
+                0x33c3_7a66_f660_8968,
+                0x2b3d_c2b1_5622_a83e,
+                0xc578_6c30_de09_7c74,
+                0x9033_151e_6329_dae1,
+            ],
+        ),
+        (
+            "livej",
+            [
+                0x8d4c_339b_bdbe_afc5,
+                0x8d4c_339b_bdbe_afc5,
+                0x8d4c_339b_bdbe_afc5,
+                0x985e_c512_a4f7_a165,
+                0x992e_5c67_c7f1_8c36,
+                0xdf91_2288_d7e8_33a5,
+            ],
+        ),
+    ];
+    for ((name, g, l), (pname, want)) in pinned_graphs().into_iter().zip(pinned) {
+        assert_eq!(name, pname);
+        let got = codec_fingerprints(&g, &l);
+        println!("{name}: {got:#018x?}");
+        assert_eq!(got, want, "{name}: codec bytes drifted");
+    }
+}
