@@ -25,9 +25,8 @@
 //! `--scale N` generates datasets at 1/N of the paper's sizes
 //! (default 2000). Modeled runtimes are projected back by ×N.
 //!
-//! `--codec C` (none | gaps | block | bv | auto) sets the on-disk codec
-//! for the `observe` experiment; `io_compress` sweeps all of them
-//! regardless.
+//! `--codec C` (none | gaps | bv) sets the on-disk codec for the
+//! `observe` experiment; `io_compress` sweeps all of them regardless.
 //!
 //! `--mode M` (push | pushM | pull | b-pull | hybrid | async) pins the
 //! `observe` experiment to one execution mode instead of the default
@@ -221,11 +220,17 @@ mod tests {
     /// names the offender and lists every valid choice, including `bv`.
     #[test]
     fn codec_parse_error_lists_all_choices() {
-        let err = "zstd".parse::<CodecChoice>().unwrap_err();
-        assert!(err.contains("unknown codec 'zstd'"), "{err}");
-        for codec in CodecChoice::ALL {
-            let label = codec.label();
-            assert!(err.contains(label), "error must list '{label}': {err}");
+        // `block` and `auto` were removed and fail like any unknown name.
+        for bad in ["zstd", "block", "auto"] {
+            let err = bad.parse::<CodecChoice>().unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown codec '{bad}' (expected none|gaps|bv)")
+            );
+            for codec in CodecChoice::ALL {
+                let label = codec.label();
+                assert!(err.contains(label), "error must list '{label}': {err}");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! `io_compress` — the on-disk codec sweep.
 //!
-//! Runs hybrid PageRank on LiveJ under every [`CodecChoice`] and tabulates
+//! Runs hybrid PageRank on LiveJ under every [`CodecChoice`] (none, gaps,
+//! bv) and tabulates
 //! logical vs physical classified I/O, the compression ratio, and modeled
 //! runtime. Two invariants are checked and reported:
 //!

@@ -93,9 +93,11 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses into exactly `expected_len` bytes.
+/// Decompresses into exactly `expected_len` bytes. `expected_len` may
+/// come from untrusted storage, so nothing is reserved from it: the
+/// output grows only as tokens produce bytes.
 pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < coded.len() {
         let op = coded[pos];
@@ -106,7 +108,7 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 if len > coded.len() - pos {
                     return Err(CodecError::Truncated);
                 }
-                if out.len() + len > expected_len {
+                if len > expected_len - out.len() {
                     return Err(CodecError::Corrupt("literal overruns logical length"));
                 }
                 out.extend_from_slice(&coded[pos..pos + len]);
@@ -116,7 +118,7 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 let len = read_u64(coded, &mut pos)? as usize;
                 let b = *coded.get(pos).ok_or(CodecError::Truncated)?;
                 pos += 1;
-                if out.len() + len > expected_len {
+                if len > expected_len - out.len() {
                     return Err(CodecError::Corrupt("run overruns logical length"));
                 }
                 out.resize(out.len() + len, b);
@@ -127,7 +129,7 @@ pub fn decompress(coded: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 if dist == 0 || dist > out.len() {
                     return Err(CodecError::Corrupt("match distance out of range"));
                 }
-                if out.len() + len > expected_len {
+                if len > expected_len - out.len() {
                     return Err(CodecError::Corrupt("match overruns logical length"));
                 }
                 // Byte-at-a-time so overlapping matches replicate, as the

@@ -8,14 +8,17 @@
 //! crate decides where to apply them and accounts the result as *logical*
 //! (uncompressed) vs *physical* (on-device) bytes.
 //!
-//! Two codec families:
+//! Three codec families:
 //!
 //! * [`gaps`] — structure-aware: zig-zag delta-gap coding for sorted
 //!   neighbour-id lists (WebGraph-style) plus bit-packed weight columns.
 //!   Applied to VE-BLOCK eblocks, adjacency runs, and gather fragments.
+//! * [`bv`] — the WebGraph-class tier for the same adjacency data:
+//!   reference-chain copy-lists, interval coding and ζ residual gaps.
 //! * [`block`] — general-purpose bytes: run-length encoding plus a fixed
-//!   greedy LZ pass. Applied to checkpoint bodies, message spill chunks,
-//!   and msg-log segments.
+//!   greedy LZ pass. The blob compressor under [`CodecChoice::Bv`]:
+//!   checkpoint bodies, message spill chunks, msg-log segments and WAL
+//!   records.
 //!
 //! Everything is deterministic (no RNG, no timestamps) and every coded
 //! extent can fall back to raw bytes via a leading tag, so incompressible
@@ -70,35 +73,23 @@ pub enum CodecChoice {
     /// Delta-gap + bit-packed coding for adjacency-structured data;
     /// blob structures (spills, checkpoints, msg logs) stay raw.
     Gaps,
-    /// The general RLE+LZ byte codec everywhere.
-    Block,
     /// WebGraph-class BV tier: reference-chain copy-lists, interval
     /// coding and ζ residual gaps for adjacency data (format v3); blobs
     /// get the block codec. Falls back to raw per extent when the BV
     /// structural assumptions don't hold.
     Bv,
-    /// Per extent, the smallest of raw / gaps / block.
-    Auto,
 }
 
 impl CodecChoice {
     /// All choices, for sweeps.
-    pub const ALL: [CodecChoice; 5] = [
-        CodecChoice::None,
-        CodecChoice::Gaps,
-        CodecChoice::Block,
-        CodecChoice::Bv,
-        CodecChoice::Auto,
-    ];
+    pub const ALL: [CodecChoice; 3] = [CodecChoice::None, CodecChoice::Gaps, CodecChoice::Bv];
 
     /// Stable lowercase name (CLI value and metric label).
     pub fn label(self) -> &'static str {
         match self {
             CodecChoice::None => "none",
             CodecChoice::Gaps => "gaps",
-            CodecChoice::Block => "block",
             CodecChoice::Bv => "bv",
-            CodecChoice::Auto => "auto",
         }
     }
 
@@ -115,12 +106,8 @@ impl FromStr for CodecChoice {
         match s {
             "none" => Ok(CodecChoice::None),
             "gaps" => Ok(CodecChoice::Gaps),
-            "block" => Ok(CodecChoice::Block),
             "bv" => Ok(CodecChoice::Bv),
-            "auto" => Ok(CodecChoice::Auto),
-            other => Err(format!(
-                "unknown codec '{other}' (expected none|gaps|block|bv|auto)"
-            )),
+            other => Err(format!("unknown codec '{other}' (expected none|gaps|bv)")),
         }
     }
 }
@@ -131,73 +118,13 @@ impl fmt::Display for CodecChoice {
     }
 }
 
-/// A reversible byte transform with a stable identity tag.
-///
-/// The two provided implementations are [`block`] (via [`BlockCodec`])
-/// and the identity ([`RawCodec`]); gap coding is exposed through
-/// [`encode_extent`] instead because it needs to know the record
-/// structure, not just the bytes.
-pub trait Codec: Send + Sync {
-    /// The tag written in front of extents coded by this codec.
-    fn tag(&self) -> u8;
-    /// Stable name for metrics.
-    fn name(&self) -> &'static str;
-    /// Encodes `raw`; may return more bytes than it was given.
-    fn encode(&self, raw: &[u8]) -> Vec<u8>;
-    /// Decodes into exactly `logical_len` bytes.
-    fn decode(&self, coded: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError>;
-}
-
-/// Identity codec: encode and decode are copies.
-pub struct RawCodec;
-
-impl Codec for RawCodec {
-    fn tag(&self) -> u8 {
-        TAG_RAW
-    }
-    fn name(&self) -> &'static str {
-        "raw"
-    }
-    fn encode(&self, raw: &[u8]) -> Vec<u8> {
-        raw.to_vec()
-    }
-    fn decode(&self, coded: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError> {
-        if coded.len() != logical_len {
-            return Err(CodecError::LengthMismatch {
-                expected: logical_len,
-                got: coded.len(),
-            });
-        }
-        Ok(coded.to_vec())
-    }
-}
-
-/// The RLE+LZ byte codec as a [`Codec`].
-pub struct BlockCodec;
-
-impl Codec for BlockCodec {
-    fn tag(&self) -> u8 {
-        TAG_BLOCK
-    }
-    fn name(&self) -> &'static str {
-        "block"
-    }
-    fn encode(&self, raw: &[u8]) -> Vec<u8> {
-        block::compress(raw)
-    }
-    fn decode(&self, coded: &[u8], logical_len: usize) -> Result<Vec<u8>, CodecError> {
-        block::decompress(coded, logical_len)
-    }
-}
-
 /// Extent tag: raw bytes follow.
 pub const TAG_RAW: u8 = 0;
 /// Extent tag: gap-coded adjacency data follows.
 pub const TAG_GAPS: u8 = 1;
-/// Extent tag: RLE+LZ coded bytes follow.
+/// Blob frame tag: RLE+LZ coded bytes follow. No extent carries it.
 pub const TAG_BLOCK: u8 = 2;
-/// Extent tag: BV-coded adjacency data follows (format v3; readers
-/// accept tags 0–3, so v1/v2 extents keep decoding unchanged).
+/// Extent tag: BV-coded adjacency data follows (format v3).
 pub const TAG_BV: u8 = 3;
 
 /// The record structure inside an adjacency extent, which decides how
@@ -215,53 +142,25 @@ pub enum ExtentKind {
 /// tagged physical bytes to store. Must not be called with
 /// [`CodecChoice::None`] — the raw, untagged path belongs to the caller.
 ///
-/// Candidates are tried per the choice and the smallest wins; ties keep
-/// the earlier of raw → gaps → block → bv, so output is deterministic.
-/// [`CodecChoice::Auto`] deliberately excludes the BV candidate so its
-/// extents stay byte-identical to the pre-v3 format; `Bv` is its own
-/// tier (raw fallback included).
+/// The choice's coder competes with raw bytes and the smaller wins (raw
+/// on a tie), so incompressible extents never grow past one tag byte.
 pub fn encode_extent(choice: CodecChoice, kind: ExtentKind, raw: &[u8]) -> Vec<u8> {
     debug_assert!(!choice.is_none(), "None bypasses extent framing");
-    let gaps_coded = match choice {
-        CodecChoice::Gaps | CodecChoice::Auto => match kind {
-            ExtentKind::Fragments => gaps::fragments_from_raw(raw).ok(),
-            ExtentKind::Edges => gaps::edges_from_raw(raw).ok(),
-        },
-        _ => None,
-    };
-    let block_coded = match choice {
-        CodecChoice::Block | CodecChoice::Auto => Some(block::compress(raw)),
-        _ => None,
-    };
-    let bv_coded = match choice {
-        CodecChoice::Bv => match kind {
-            ExtentKind::Fragments => bv::fragments_from_raw(raw).ok(),
-            ExtentKind::Edges => bv::edges_from_raw(raw).ok(),
-        },
-        _ => None,
-    };
-    let mut best_tag = TAG_RAW;
-    let mut best: &[u8] = raw;
-    if let Some(g) = gaps_coded.as_deref() {
-        if g.len() < best.len() {
-            best_tag = TAG_GAPS;
-            best = g;
+    let (tag, coded) = match (choice, kind) {
+        (CodecChoice::Gaps, ExtentKind::Fragments) => {
+            (TAG_GAPS, gaps::fragments_from_raw(raw).ok())
         }
-    }
-    if let Some(b) = block_coded.as_deref() {
-        if b.len() < best.len() {
-            best_tag = TAG_BLOCK;
-            best = b;
-        }
-    }
-    if let Some(v) = bv_coded.as_deref() {
-        if v.len() < best.len() {
-            best_tag = TAG_BV;
-            best = v;
-        }
-    }
+        (CodecChoice::Gaps, ExtentKind::Edges) => (TAG_GAPS, gaps::edges_from_raw(raw).ok()),
+        (CodecChoice::Bv, ExtentKind::Fragments) => (TAG_BV, bv::fragments_from_raw(raw).ok()),
+        (CodecChoice::Bv, ExtentKind::Edges) => (TAG_BV, bv::edges_from_raw(raw).ok()),
+        (CodecChoice::None, _) => (TAG_RAW, None),
+    };
+    let (tag, best) = match coded.as_deref() {
+        Some(c) if c.len() < raw.len() => (tag, c),
+        _ => (TAG_RAW, raw),
+    };
     let mut out = Vec::with_capacity(best.len() + 1);
-    out.push(best_tag);
+    out.push(tag);
     out.extend_from_slice(best);
     out
 }
@@ -276,8 +175,7 @@ pub fn decode_extent(
 ) -> Result<Vec<u8>, CodecError> {
     let (&tag, body) = coded.split_first().ok_or(CodecError::Truncated)?;
     let raw = match (tag, kind) {
-        (TAG_RAW, _) => RawCodec.decode(body, logical_len)?,
-        (TAG_BLOCK, _) => block::decompress(body, logical_len)?,
+        (TAG_RAW, _) => body.to_vec(),
         (TAG_GAPS, ExtentKind::Fragments) => gaps::raw_from_fragments(body)?,
         (TAG_GAPS, ExtentKind::Edges) => gaps::raw_from_edges(body)?,
         (TAG_BV, ExtentKind::Fragments) => bv::raw_from_fragments(body)?,
@@ -294,8 +192,8 @@ pub fn decode_extent(
 }
 
 /// Decodes an [`ExtentKind::Fragments`] extent of any tag straight into
-/// `out`'s columns: gaps and bv bodies decode into them directly, raw and
-/// block bodies are parsed into them. The stream the columns describe
+/// `out`'s columns: gaps and bv bodies decode into them directly, raw
+/// bodies are parsed into them. The stream the columns describe
 /// must be exactly `logical_len` bytes. On error `out` is left empty.
 pub fn decode_fragments(
     coded: &[u8],
@@ -325,7 +223,6 @@ fn decode_fragments_tagged(
             }
             out.parse_raw(body)?;
         }
-        TAG_BLOCK => out.parse_raw(&block::decompress(body, logical_len)?)?,
         TAG_GAPS => gaps::decode_fragments(body, out)?,
         TAG_BV => bv::decode_fragments(body, out)?,
         _ => return Err(CodecError::Corrupt("unknown extent tag")),
@@ -350,10 +247,7 @@ fn decode_fragments_tagged(
 /// [`CodecChoice::None`].
 pub fn encode_blob_frame(choice: CodecChoice, raw: &[u8]) -> Vec<u8> {
     debug_assert!(!choice.is_none(), "None bypasses blob framing");
-    let block_coded = match choice {
-        CodecChoice::Block | CodecChoice::Auto | CodecChoice::Bv => Some(block::compress(raw)),
-        _ => None,
-    };
+    let block_coded = (choice == CodecChoice::Bv).then(|| block::compress(raw));
     let (tag, payload): (u8, &[u8]) = match block_coded.as_deref() {
         Some(b) if b.len() < raw.len() => (TAG_BLOCK, b),
         _ => (TAG_RAW, raw),
@@ -379,7 +273,11 @@ pub fn decode_blob_frame(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecEr
     let payload = &buf[*pos..*pos + payload_len];
     *pos += payload_len;
     match tag {
-        TAG_RAW => RawCodec.decode(payload, logical),
+        TAG_RAW if payload.len() == logical => Ok(payload.to_vec()),
+        TAG_RAW => Err(CodecError::LengthMismatch {
+            expected: logical,
+            got: payload.len(),
+        }),
         TAG_BLOCK => block::decompress(payload, logical),
         _ => Err(CodecError::Corrupt("unknown blob frame tag")),
     }
@@ -398,12 +296,17 @@ mod tests {
         raw
     }
 
+    const CODED: [CodecChoice; 2] = [CodecChoice::Gaps, CodecChoice::Bv];
+
     #[test]
     fn choice_parses_and_labels() {
         for c in CodecChoice::ALL {
             assert_eq!(c.label().parse::<CodecChoice>().unwrap(), c);
         }
-        assert!("zstd".parse::<CodecChoice>().is_err());
+        for retired in ["zstd", "block", "auto"] {
+            let err = retired.parse::<CodecChoice>().unwrap_err();
+            assert!(err.contains("expected none|gaps|bv"), "{err}");
+        }
         assert_eq!(CodecChoice::default(), CodecChoice::None);
     }
 
@@ -414,12 +317,7 @@ mod tests {
         frags.extend_from_slice(&3u32.to_le_bytes());
         frags.extend_from_slice(&200u32.to_le_bytes());
         frags.extend_from_slice(&edges);
-        for choice in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for choice in CODED {
             for (kind, raw) in [(ExtentKind::Edges, &edges), (ExtentKind::Fragments, &frags)] {
                 let coded = encode_extent(choice, kind, raw);
                 assert_eq!(
@@ -446,12 +344,7 @@ mod tests {
 
     #[test]
     fn empty_extent_roundtrips() {
-        for choice in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for choice in CODED {
             let coded = encode_extent(choice, ExtentKind::Edges, &[]);
             assert_eq!(decode_extent(ExtentKind::Edges, &coded, 0).unwrap(), vec![]);
         }
@@ -478,12 +371,19 @@ mod tests {
     }
 
     #[test]
-    fn auto_never_emits_bv_tags() {
-        // Auto's output is the pre-v3 format; BV extents only appear
-        // when the job explicitly opts into the new tier.
-        let raw = raw_edges(500);
-        let coded = encode_extent(CodecChoice::Auto, ExtentKind::Edges, &raw);
-        assert_ne!(coded[0], TAG_BV);
+    fn block_tagged_extents_are_rejected() {
+        // No writer emits them; a stored one is corruption, typed.
+        let raw = vec![7u8; 64];
+        let mut coded = vec![TAG_BLOCK];
+        coded.extend(block::compress(&raw));
+        for kind in [ExtentKind::Edges, ExtentKind::Fragments] {
+            assert_eq!(
+                decode_extent(kind, &coded, raw.len()),
+                Err(CodecError::Corrupt("unknown extent tag"))
+            );
+        }
+        let mut cols = Frags::default();
+        assert!(decode_fragments(&coded, raw.len(), &mut cols).is_err());
     }
 
     #[test]
@@ -491,30 +391,28 @@ mod tests {
         let a = vec![7u8; 4096];
         let framed = encode_blob_frame(CodecChoice::Bv, &a);
         assert!(framed.len() < 64, "{}", framed.len());
+        assert_eq!(framed[0], TAG_BLOCK);
         let mut pos = 0;
         assert_eq!(decode_blob_frame(&framed, &mut pos).unwrap(), a);
     }
 
     #[test]
     fn incompressible_extent_falls_back_to_raw() {
-        // Not a valid edge-list length and with no byte structure, so both
-        // gaps (error) and block (bigger) lose to raw.
+        // Not a valid edge-list length and with no byte structure, so the
+        // coder loses to raw.
         let raw = vec![0xA7u8, 0x13, 0x55];
-        let coded = encode_extent(CodecChoice::Auto, ExtentKind::Edges, &raw);
-        assert_eq!(coded[0], TAG_RAW);
-        assert_eq!(decode_extent(ExtentKind::Edges, &coded, 3).unwrap(), raw);
+        for choice in CODED {
+            let coded = encode_extent(choice, ExtentKind::Edges, &raw);
+            assert_eq!(coded[0], TAG_RAW);
+            assert_eq!(decode_extent(ExtentKind::Edges, &coded, 3).unwrap(), raw);
+        }
     }
 
     #[test]
     fn blob_frames_roundtrip_and_concatenate() {
         let a = vec![7u8; 4096];
         let b: Vec<u8> = (0..255u8).collect();
-        for choice in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for choice in CODED {
             let mut stream = encode_blob_frame(choice, &a);
             stream.extend(encode_blob_frame(choice, &b));
             let mut pos = 0;
@@ -522,25 +420,20 @@ mod tests {
             assert_eq!(decode_blob_frame(&stream, &mut pos).unwrap(), b);
             assert_eq!(pos, stream.len());
         }
-        // Block mode actually shrinks the run-heavy payload.
-        let framed = encode_blob_frame(CodecChoice::Block, &a);
-        assert!(framed.len() < 64, "{}", framed.len());
     }
 
     #[test]
     fn blob_frame_truncation_errors() {
-        let frame = encode_blob_frame(CodecChoice::Block, &[1u8; 100]);
+        let frame = encode_blob_frame(CodecChoice::Bv, &[1u8; 100]);
         let mut pos = 0;
         assert!(decode_blob_frame(&frame[..frame.len() - 1], &mut pos).is_err());
-    }
-
-    #[test]
-    fn codec_trait_objects() {
-        let codecs: [&dyn Codec; 2] = [&RawCodec, &BlockCodec];
-        let data = b"abababababababab".to_vec();
-        for c in codecs {
-            let coded = c.encode(&data);
-            assert_eq!(c.decode(&coded, data.len()).unwrap(), data, "{}", c.name());
+        // A corrupt logical length of 2^40 must not size any allocation.
+        for tag in [TAG_RAW, TAG_BLOCK] {
+            let mut frame = vec![tag];
+            varint::write_u64(&mut frame, 1 << 40);
+            varint::write_u64(&mut frame, 0);
+            let mut pos = 0;
+            assert!(decode_blob_frame(&frame, &mut pos).is_err(), "tag {tag}");
         }
     }
 }

@@ -231,8 +231,7 @@ fn serve_pull<P: VertexProgram>(
         if !w.block_res[jidx] || !ve.meta(j).has_edges_to(block) {
             continue;
         }
-        let info = *ve.eblock_info(j, block);
-        ve.scan_eblock_into(j, block, cols)?;
+        let info = ve.scan_eblock_into(j, block, cols)?;
         // Physical stored bytes (== logical without a codec), split
         // proportionally into edge and fragment-auxiliary shares.
         let (stored_edge, stored_aux) = info.stored_split();

@@ -141,6 +141,24 @@ impl BlockLayout {
         }
     }
 
+    /// One worker owning `vertices` split into blocks of `block_size`
+    /// vertices, the last one partial.
+    pub fn fixed(vertices: u32, block_size: u32) -> Self {
+        assert!(block_size > 0, "blocks need at least one vertex");
+        let blocks: Vec<VblockInfo> = (0..vertices.div_ceil(block_size))
+            .map(|b| VblockInfo {
+                range: b * block_size..(b * block_size).saturating_add(block_size).min(vertices),
+                owner: WorkerId(0),
+            })
+            .collect();
+        let all = 0..blocks.len() as u32;
+        BlockLayout {
+            block_starts: blocks.iter().map(|b| b.range.start).collect(),
+            worker_blocks: vec![all],
+            blocks,
+        }
+    }
+
     /// Uniform layout: `per_worker` blocks on every worker.
     pub fn uniform(partition: &Partition, per_worker: usize) -> Self {
         BlockLayout::new(partition, &vec![per_worker; partition.num_workers()])

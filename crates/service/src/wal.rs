@@ -390,5 +390,26 @@ mod tests {
             body,
         };
         assert!(decode_record(&rec).is_err());
+
+        // Codec tags 2 and 3 were the removed `block` and `auto` choices.
+        let g = Graph::from_parts(vec![0, 1], vec![Edge::weighted(VertexId(0), 1.0)]);
+        let encode =
+            |codec| encode_graph_registered("g", 1, &GraphSpec::new(1).with_codec(codec), &g);
+        let body = encode(CodecChoice::Gaps);
+        let at = body
+            .iter()
+            .zip(&encode(CodecChoice::Bv))
+            .position(|(a, b)| a != b)
+            .expect("the codec byte differs");
+        for tag in [2u8, 3] {
+            let mut body = body.clone();
+            body[at] = tag;
+            let rec = LogRecord {
+                kind: KIND_GRAPH_REGISTERED,
+                body,
+            };
+            let err = decode_record(&rec).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}");
+        }
     }
 }

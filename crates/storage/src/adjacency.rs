@@ -11,62 +11,11 @@
 use crate::record::Record;
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
-use hybridgraph_codec::ef::EliasFano;
 use hybridgraph_codec::{decode_extent, encode_extent, CodecChoice, ExtentKind};
 use hybridgraph_graph::{Edge, Graph, VertexId};
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// The per-vertex extent directory: cumulative physical byte offsets,
-/// `n + 1` entries. Under [`CodecChoice::Bv`] the flat 8-bytes-per-entry
-/// vector is replaced by an Elias-Fano sequence (~2 bytes/entry) with
-/// O(1)-ish random access — the piece that keeps 100M+ vertex indices
-/// resident.
-#[derive(Clone)]
-enum OffsetDir {
-    Flat(Arc<Vec<u64>>),
-    Ef(Arc<EliasFano>),
-}
-
-impl OffsetDir {
-    fn from_flat(offsets: Vec<u64>, codec: CodecChoice) -> OffsetDir {
-        if codec == CodecChoice::Bv {
-            let ef = EliasFano::build(&offsets).expect("cumulative offsets are monotone");
-            OffsetDir::Ef(Arc::new(ef))
-        } else {
-            OffsetDir::Flat(Arc::new(offsets))
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> u64 {
-        match self {
-            OffsetDir::Flat(v) => v[i],
-            OffsetDir::Ef(ef) => ef.get(i as u64),
-        }
-    }
-
-    /// Number of entries (vertex count + 1).
-    fn len(&self) -> usize {
-        match self {
-            OffsetDir::Flat(v) => v.len(),
-            OffsetDir::Ef(ef) => ef.len() as usize,
-        }
-    }
-
-    fn last(&self) -> u64 {
-        self.get(self.len() - 1)
-    }
-
-    /// Resident bytes of the directory itself.
-    fn memory_bytes(&self) -> u64 {
-        match self {
-            OffsetDir::Flat(v) => v.len() as u64 * 8,
-            OffsetDir::Ef(ef) => ef.memory_bytes(),
-        }
-    }
-}
 
 impl Record for Edge {
     const BYTES: usize = 8;
@@ -90,11 +39,11 @@ impl Record for Edge {
 pub struct AdjacencyStore {
     file: VfsFile,
     base: u32,
-    /// `offsets.get(i)..offsets.get(i + 1)` is the *physical* byte
-    /// extent of vertex `base + i`'s edge run in the file; length
-    /// `count + 1`. Without a codec, physical extents equal logical edge
-    /// bytes. Arc-shared so cross-job views are cheap.
-    offsets: OffsetDir,
+    /// `offsets[i]..offsets[i + 1]` is the *physical* byte extent of
+    /// vertex `base + i`'s edge run in the file; length `count + 1`.
+    /// Without a codec, physical extents equal logical edge bytes.
+    /// Arc-shared so cross-job views are cheap.
+    offsets: Arc<Vec<u64>>,
     /// Per-vertex out-degrees, kept only when a codec is active (the
     /// physical extents no longer encode the edge counts then).
     degrees: Option<Arc<Vec<u32>>>,
@@ -157,7 +106,7 @@ impl AdjacencyStore {
         Ok(AdjacencyStore {
             file,
             base: range.start,
-            offsets: OffsetDir::from_flat(offsets, codec),
+            offsets: Arc::new(offsets),
             degrees: degrees.map(Arc::new),
             total_logical,
             codec,
@@ -173,7 +122,7 @@ impl AdjacencyStore {
         AdjacencyStore {
             file: self.file.with_stats(stats),
             base: self.base,
-            offsets: self.offsets.clone(),
+            offsets: Arc::clone(&self.offsets),
             degrees: self.degrees.as_ref().map(Arc::clone),
             total_logical: self.total_logical,
             codec: self.codec,
@@ -209,9 +158,7 @@ impl AdjacencyStore {
         let i = self.local(v);
         match &self.degrees {
             Some(d) => d[i] as usize,
-            Option::None => {
-                ((self.offsets.get(i + 1) - self.offsets.get(i)) / Edge::BYTES as u64) as usize
-            }
+            Option::None => ((self.offsets[i + 1] - self.offsets[i]) / Edge::BYTES as u64) as usize,
         }
     }
 
@@ -224,14 +171,7 @@ impl AdjacencyStore {
     /// [`AdjacencyStore::edge_bytes_of`] without a codec.
     pub fn stored_bytes_of(&self, v: VertexId) -> u64 {
         let i = self.local(v);
-        self.offsets.get(i + 1) - self.offsets.get(i)
-    }
-
-    /// Resident bytes of the in-memory extent directory (flat offsets,
-    /// or the Elias-Fano index under [`CodecChoice::Bv`]) plus the
-    /// degree column when present.
-    pub fn index_memory_bytes(&self) -> u64 {
-        self.offsets.memory_bytes() + self.degrees.as_ref().map_or(0, |d| d.len() as u64 * 4)
+        self.offsets[i + 1] - self.offsets[i]
     }
 
     /// Total logical edge bytes in the store.
@@ -241,7 +181,7 @@ impl AdjacencyStore {
 
     /// Total physical bytes the store's file occupies.
     pub fn total_stored_bytes(&self) -> u64 {
-        self.offsets.last()
+        *self.offsets.last().unwrap()
     }
 
     /// The codec the store was built with.
@@ -255,7 +195,7 @@ impl AdjacencyStore {
     /// id order (the push scan), `RandRead` for out-of-order access.
     pub fn edges_of(&self, v: VertexId, class: AccessClass) -> io::Result<Vec<Edge>> {
         let i = self.local(v);
-        let (start, end) = (self.offsets.get(i), self.offsets.get(i + 1));
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
         if start == end {
             return Ok(Vec::new());
         }
@@ -329,12 +269,7 @@ mod tests {
         let g = gen::uniform(80, 1200, 5);
         let vfs = MemVfs::new();
         let plain = AdjacencyStore::build(&vfs, "adj", &g, 0..80).unwrap();
-        for codec in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let cvfs = MemVfs::new();
             let s = AdjacencyStore::build_with(&cvfs, "adj", &g, 0..80, codec).unwrap();
             assert_eq!(s.total_edge_bytes(), plain.total_edge_bytes());
@@ -343,6 +278,14 @@ mod tests {
                 assert_eq!(s.out_degree(v), g.out_degree(v), "{codec:?}");
                 assert_eq!(s.edge_bytes_of(v), plain.edge_bytes_of(v));
                 assert_eq!(s.edges_of(v, AccessClass::SeqRead).unwrap(), g.out_edges(v));
+            }
+            let view = s.share_view(Arc::new(crate::stats::IoStats::default()));
+            for v in (0..80u32).step_by(7) {
+                let v = VertexId(v);
+                assert_eq!(
+                    view.edges_of(v, AccessClass::RandRead).unwrap(),
+                    g.out_edges(v)
+                );
             }
         }
         // Gaps shrinks the file and the coded read accounts both sides.
@@ -358,37 +301,6 @@ mod tests {
         let d = cvfs.stats().snapshot().delta(&before);
         assert_eq!(d.rand_read_bytes, s.stored_bytes_of(v));
         assert_eq!(d.rand_read_logical_bytes, s.edge_bytes_of(v));
-    }
-
-    #[test]
-    fn bv_store_uses_elias_fano_directory() {
-        let g = gen::uniform(300, 6000, 9);
-        let vfs = MemVfs::new();
-        let flat = AdjacencyStore::build_with(&vfs, "a", &g, 0..300, CodecChoice::Gaps).unwrap();
-        let bvfs = MemVfs::new();
-        let bv = AdjacencyStore::build_with(&bvfs, "a", &g, 0..300, CodecChoice::Bv).unwrap();
-        // Same logical content, shared-view reads identical, EF index
-        // well under the flat directory.
-        assert_eq!(bv.total_edge_bytes(), flat.total_edge_bytes());
-        assert!(
-            bv.index_memory_bytes() * 2 < flat.index_memory_bytes(),
-            "ef {} vs flat {}",
-            bv.index_memory_bytes(),
-            flat.index_memory_bytes()
-        );
-        let view = bv.share_view(Arc::new(crate::stats::IoStats::default()));
-        for v in (0..300u32).step_by(17) {
-            let v = VertexId(v);
-            assert_eq!(
-                bv.edges_of(v, AccessClass::RandRead).unwrap(),
-                g.out_edges(v)
-            );
-            assert_eq!(
-                view.edges_of(v, AccessClass::RandRead).unwrap(),
-                g.out_edges(v)
-            );
-            assert_eq!(bv.stored_bytes_of(v) == 0, g.out_degree(v) == 0);
-        }
     }
 
     #[test]

@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn coded_commit_roundtrips_and_accounts_both_sides() {
-        for codec in [CodecChoice::Gaps, CodecChoice::Block, CodecChoice::Auto] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let mut w = CheckpointWriter::new(11);
             w.put_u8(9);
@@ -382,7 +382,7 @@ mod tests {
         let vfs = MemVfs::new();
         let mut w = CheckpointWriter::new(8);
         w.put_bytes(&[1u8; 500]);
-        w.commit_with(&vfs, CodecChoice::Block).unwrap();
+        w.commit_with(&vfs, CodecChoice::Bv).unwrap();
         let full = vfs
             .open(&checkpoint_file_name(8))
             .unwrap()

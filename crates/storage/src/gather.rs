@@ -270,7 +270,7 @@ mod tests {
         let g = gen::uniform(50, 700, 6);
         let vfs = MemVfs::new();
         let plain = GatherStore::build(&vfs, "gather", &g, 0..50).unwrap();
-        for codec in [CodecChoice::Gaps, CodecChoice::Block, CodecChoice::Auto] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let cvfs = MemVfs::new();
             let s = GatherStore::build_with(&cvfs, "gather", &g, 0..50, codec).unwrap();
             assert_eq!(s.num_destinations(), plain.num_destinations());

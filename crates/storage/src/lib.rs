@@ -17,7 +17,8 @@
 //! * [`value_store`] — the per-worker vertex-value segment,
 //! * [`adjacency`] — the push-side adjacency-list layout,
 //! * [`veblock`] — the paper's VE-BLOCK layout (Vblocks, Eblocks,
-//!   fragments, per-block metadata `X_j`),
+//!   fragments, per-block metadata `X_j`), written a source block at a
+//!   time and located through an Elias-Fano directory,
 //! * [`msg_store`] — the push receiver-side message buffer with spill,
 //! * [`lru`] — the LRU vertex cache used by the per-vertex pull baseline,
 //! * [`checkpoint`] — superstep-boundary checkpoint framing for the
@@ -43,15 +44,13 @@ pub mod record;
 pub mod service_log;
 pub mod shared_cache;
 pub mod stats;
-pub mod stream;
 pub mod value_store;
 pub mod veblock;
 pub mod vfs;
 
 pub use checkpoint::{CheckpointReader, CheckpointWriter};
 pub use hybridgraph_codec::{
-    decode_extent, decode_fragments, encode_extent, Codec, CodecChoice, CodecError, ExtentKind,
-    Frags,
+    decode_extent, decode_fragments, encode_extent, CodecChoice, CodecError, ExtentKind, Frags,
 };
 pub use msg_log::{MsgLogReader, MsgLogWriter};
 pub use profile::DeviceProfile;

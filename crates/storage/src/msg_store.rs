@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn coded_spill_roundtrips_and_shrinks() {
-        for codec in [CodecChoice::Gaps, CodecChoice::Block, CodecChoice::Auto] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let mut b: SpillBuffer<f64> = SpillBuffer::with_codec(&vfs, "spill", 4, codec).unwrap();
             // Enough overflow to flush several chunks plus a partial one.
@@ -518,8 +518,8 @@ mod tests {
             assert_eq!(b.total(), n);
             assert_eq!(b.spilled(), n - 4);
             let snap = vfs.stats().snapshot();
-            if !matches!(codec, CodecChoice::Gaps) {
-                // Block/Auto compress the highly regular spill stream.
+            if codec == CodecChoice::Bv {
+                // Bv block-compresses the highly regular spill stream.
                 assert!(
                     snap.rand_write_bytes < snap.rand_write_logical_bytes,
                     "{codec:?} should shrink spills"
@@ -546,7 +546,7 @@ mod tests {
     fn coded_snapshot_and_restore() {
         let vfs = MemVfs::new();
         let mut b: SpillBuffer<u32> =
-            SpillBuffer::with_codec(&vfs, "spill", 1, CodecChoice::Block).unwrap();
+            SpillBuffer::with_codec(&vfs, "spill", 1, CodecChoice::Bv).unwrap();
         let n = SPILL_CHUNK_MSGS + 9;
         for i in 0..n {
             b.push(VertexId(i as u32), i as u32 * 3).unwrap();
@@ -557,7 +557,7 @@ mod tests {
 
         let vfs2 = MemVfs::new();
         let mut c: SpillBuffer<u32> =
-            SpillBuffer::with_codec(&vfs2, "spill", 1, CodecChoice::Block).unwrap();
+            SpillBuffer::with_codec(&vfs2, "spill", 1, CodecChoice::Bv).unwrap();
         c.restore_pending(snap).unwrap();
         assert_eq!(c.total(), n);
         assert_eq!(c.drain().unwrap().len() as u64, n);
@@ -567,7 +567,7 @@ mod tests {
     fn coded_mark_and_rewind_survive_chunk_flushes() {
         let vfs = MemVfs::new();
         let mut b: SpillBuffer<u32> =
-            SpillBuffer::with_codec(&vfs, "spill", 0, CodecChoice::Block).unwrap();
+            SpillBuffer::with_codec(&vfs, "spill", 0, CodecChoice::Bv).unwrap();
         // Leave a partial chunk pending, mark, then push past a flush.
         for i in 0..10u32 {
             b.push(VertexId(i), i).unwrap();

@@ -59,10 +59,8 @@ pub fn codec_tag(codec: CodecChoice) -> u8 {
     match codec {
         CodecChoice::None => 0,
         CodecChoice::Gaps => 1,
-        CodecChoice::Block => 2,
-        CodecChoice::Auto => 3,
-        // Appended after Auto: WAL bytes written before the BV tier
-        // existed keep their meaning.
+        // 2 and 3 were the retired `block` and `auto` choices; they stay
+        // unassigned so old bytes fail typed instead of changing meaning.
         CodecChoice::Bv => 4,
     }
 }
@@ -72,8 +70,6 @@ pub fn codec_from_tag(tag: u8) -> io::Result<CodecChoice> {
     Ok(match tag {
         0 => CodecChoice::None,
         1 => CodecChoice::Gaps,
-        2 => CodecChoice::Block,
-        3 => CodecChoice::Auto,
         4 => CodecChoice::Bv,
         _ => return Err(corrupt("unknown codec tag")),
     })
@@ -372,8 +368,17 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
 /// Rebuilds a graph from [`encode_graph`] bytes.
 pub fn decode_graph(buf: &[u8]) -> io::Result<Graph> {
     let mut r = PayloadReader::new(buf);
-    let n = r.get_u64()? as usize;
-    let m = r.get_u64()? as usize;
+    let (n, m) = (r.get_u64()?, r.get_u64()?);
+    // Both counts are untrusted: they must describe exactly this buffer
+    // before either sizes an allocation.
+    let want = n
+        .checked_mul(4)
+        .zip(m.checked_mul(8))
+        .and_then(|(degrees, edges)| degrees.checked_add(edges)?.checked_add(16));
+    if want != Some(buf.len() as u64) {
+        return Err(corrupt("graph payload length does not match its header"));
+    }
+    let (n, m) = (n as usize, m as usize);
     let mut offsets = Vec::with_capacity(n + 1);
     let mut off = 0u64;
     offsets.push(0);
@@ -389,9 +394,6 @@ pub fn decode_graph(buf: &[u8]) -> io::Result<Graph> {
         let dst = r.get_u32()?;
         let weight = f32::from_bits(r.get_u32()?);
         edges.push(Edge::weighted(VertexId(dst), weight));
-    }
-    if !r.done() {
-        return Err(corrupt("trailing bytes after graph payload"));
     }
     Ok(Graph::from_parts(offsets, edges))
 }
@@ -472,7 +474,7 @@ mod tests {
     #[test]
     fn coded_log_roundtrips_and_accounts_both_sides() {
         let vfs = MemVfs::new();
-        let log = ServiceLog::create(&vfs, CodecChoice::Block).unwrap();
+        let log = ServiceLog::create(&vfs, CodecChoice::Bv).unwrap();
         let body = vec![7u8; 4096]; // highly compressible
         let physical = log.append(4, &body).unwrap();
         assert!(
@@ -483,7 +485,7 @@ mod tests {
         assert!(snap.seq_write_logical_bytes > snap.seq_write_bytes);
 
         let (log, recs) = ServiceLog::open(&vfs).unwrap();
-        assert_eq!(log.codec(), CodecChoice::Block);
+        assert_eq!(log.codec(), CodecChoice::Bv);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].kind, 4);
         assert_eq!(recs[0].body, body);
@@ -542,5 +544,17 @@ mod tests {
             assert_eq!(h.out_edges(v), g.out_edges(v));
         }
         assert!(decode_graph(&blob[..blob.len() - 1]).is_err());
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        assert!(decode_graph(&trailing).is_err());
+        // Counts that would overflow or ask for terabytes fail before any
+        // allocation.
+        for (n, m) in [(1u64 << 40, 0u64), (0, 1 << 60), (u64::MAX, u64::MAX)] {
+            let mut bad = n.to_le_bytes().to_vec();
+            bad.extend_from_slice(&m.to_le_bytes());
+            bad.extend_from_slice(&[0; 14]);
+            let err = decode_graph(&bad).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "n={n} m={m}");
+        }
     }
 }

@@ -8,10 +8,20 @@
 //!   *global* destination block `b_i`, the edges from `b_j` into `b_i`,
 //!   clustered per source vertex into **fragments**
 //!   `(svertex id, edge count, edges…)`,
-//! * **metadata `X_j`** — per source block: vertex count, total in/out
-//!   degree, a bitmap over destination blocks (bit `i` set iff `g_{j,i}` is
-//!   non-empty) and the dynamic responding indicator `res` maintained by
-//!   the engine.
+//! * **metadata `X_j`** — per source block a bitmap over destination
+//!   blocks (bit `i` set iff `g_{j,i}` is non-empty); the dynamic
+//!   responding indicator `res` is maintained by the engine.
+//!
+//! A worker's Eblocks live in one file, row by row (`j_local · V + i`),
+//! and are located through an Elias-Fano directory of three cumulative
+//! sequences over that grid: physical offset, logical bytes and
+//! fragments. Empty Eblocks cost no bytes on disk and no I/O.
+//!
+//! The store is written a source block at a time by [`VeBlockWriter`]:
+//! only one block's Eblocks are ever buffered, so a caller that generates
+//! adjacency on the fly (the `billion` experiment) never holds its edge
+//! list. [`VeBlockStore::build_with`] is the same writer fed from a
+//! [`Graph`].
 //!
 //! Answering a pull request for block `b_i` reads each non-empty `g_{j,i}`
 //! sequentially (edge bytes + per-fragment auxiliary bytes — the paper's
@@ -21,9 +31,11 @@
 use crate::record::Record;
 use crate::stats::AccessClass;
 use crate::vfs::{Vfs, VfsFile};
+use hybridgraph_codec::ef::EliasFano;
 use hybridgraph_codec::{decode_fragments, encode_extent, CodecChoice, ExtentKind, Frags};
 use hybridgraph_graph::{BlockId, BlockLayout, Edge, Graph, VertexId, WorkerId};
 use std::io;
+use std::sync::Arc;
 
 /// Byte cost of one fragment's auxiliary data: svertex id + edge count.
 pub const FRAGMENT_AUX_BYTES: u64 = 8;
@@ -32,28 +44,19 @@ pub const FRAGMENT_AUX_BYTES: u64 = 8;
 /// flag, which the engine owns because it changes every superstep).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockMeta {
-    /// Number of vertices in the block (`#`).
-    pub vertex_count: u32,
-    /// Total in-degree of the block's vertices (`ind`).
-    pub in_degree: u64,
-    /// Total out-degree of the block's vertices (`outd`).
-    pub out_degree: u64,
     /// Bit `i` set iff there are edges from this block to global block `i`.
     bitmap: Vec<u64>,
 }
 
 impl BlockMeta {
-    fn new(vertex_count: u32, num_blocks: usize) -> Self {
+    fn new(num_blocks: usize) -> Self {
         BlockMeta {
-            vertex_count,
-            in_degree: 0,
-            out_degree: 0,
             bitmap: vec![0; num_blocks.div_ceil(64)],
         }
     }
 
-    fn set_bit(&mut self, i: BlockId) {
-        self.bitmap[i.index() / 64] |= 1 << (i.index() % 64);
+    fn set_bit(&mut self, i: usize) {
+        self.bitmap[i / 64] |= 1 << (i % 64);
     }
 
     /// True if the block has at least one edge into global block `i`.
@@ -61,17 +64,18 @@ impl BlockMeta {
         (self.bitmap[i.index() / 64] >> (i.index() % 64)) & 1 == 1
     }
 
-    /// In-memory footprint of this metadata entry in bytes (counted toward
-    /// the memory-usage curves of Fig. 14(d) and Fig. 23).
+    /// In-memory footprint of the paper's `X_j` in bytes (counted toward
+    /// the memory-usage curves of Fig. 14(d) and Fig. 23): vertex count,
+    /// in- and out-degree totals, bitmap and `res` flag.
     pub fn memory_bytes(&self) -> u64 {
-        4 + 8 + 8 + self.bitmap.len() as u64 * 8 + 1 // fields + res flag
+        4 + 8 + 8 + self.bitmap.len() as u64 * 8 + 1
     }
 }
 
-/// Index entry for one Eblock `g_{j,i}` inside its block file.
+/// Extent of one Eblock `g_{j,i}`, rebuilt from the store's directory.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EblockInfo {
-    /// Byte offset of the Eblock inside the local block's edge file.
+    /// Byte offset of the Eblock inside the worker's Eblock file.
     pub offset: u64,
     /// Total *logical* Eblock bytes (edges + fragment auxiliary data,
     /// uncompressed).
@@ -111,27 +115,226 @@ pub struct Fragment {
     pub edges: Vec<Edge>,
 }
 
-/// The VE-BLOCK store for one worker's local blocks.
-pub struct VeBlockStore {
-    /// One edge file per local block, holding its `V` Eblocks back to back.
-    files: Vec<VfsFile>,
-    /// `index[j_local][i_global]` — extent of `g_{j,i}`. Arc-shared so
-    /// cross-job views are cheap.
-    index: std::sync::Arc<Vec<Vec<EblockInfo>>>,
-    /// `meta[j_local]` — `X_j`.
-    meta: std::sync::Arc<Vec<BlockMeta>>,
+/// The in-memory side of a store; immutable once written, so views share
+/// it.
+struct Index {
+    /// Global blocks per grid row (the paper's `V`).
+    num_blocks: usize,
     /// Global id of local block 0 (a worker's blocks are contiguous).
     first_block: u32,
     /// First vertex id covered by the local blocks.
     base_vertex: u32,
+    /// `meta[j_local]` — `X_j`.
+    meta: Vec<BlockMeta>,
+    /// Cumulative physical bytes, logical bytes and fragments before each
+    /// grid cell: `cells + 1` entries each.
+    phys: EliasFano,
+    logi: EliasFano,
+    frags: EliasFano,
+    /// `row_stored[j_local]` — Σ over the row of each Eblock's
+    /// [`EblockInfo::stored_split`].
+    row_stored: Vec<(u64, u64)>,
     /// `fragment_counts[v - base_vertex]` — how many fragments vertex `v`
     /// appears in (its out-edges span that many Eblocks). Used to estimate
     /// `IO(V^t_rr)` for the hybrid predictor without running b-pull.
-    fragment_counts: std::sync::Arc<Vec<u32>>,
-    total_fragments: u64,
-    total_edge_bytes: u64,
+    fragment_counts: Vec<u32>,
+}
+
+/// The VE-BLOCK store for one worker's local blocks.
+pub struct VeBlockStore {
+    /// All local Eblocks, row-major.
+    file: VfsFile,
+    index: Arc<Index>,
     /// The codec every Eblock extent was written (and is read) with.
     codec: CodecChoice,
+}
+
+/// Writes one worker's VE-BLOCK store a source block at a time.
+///
+/// Feed the out-edges of every local vertex in id order with
+/// [`VeBlockWriter::push`]; each completed source block's row of Eblocks
+/// is appended to the file and only the directory stays behind.
+pub struct VeBlockWriter<'a> {
+    layout: &'a BlockLayout,
+    file: VfsFile,
+    codec: CodecChoice,
+    /// Global id of the source block being filled, and one past the last
+    /// local block.
+    row: u32,
+    end_row: u32,
+    next_vertex: u32,
+    /// Fragment streams and counts of the current row, per destination.
+    cells: Vec<Vec<u8>>,
+    cell_frags: Vec<u32>,
+    first_block: u32,
+    base_vertex: u32,
+    meta: Vec<BlockMeta>,
+    phys: Vec<u64>,
+    logi: Vec<u64>,
+    frags: Vec<u64>,
+    row_stored: Vec<(u64, u64)>,
+    fragment_counts: Vec<u32>,
+    peak_row_bytes: u64,
+}
+
+impl<'a> VeBlockWriter<'a> {
+    /// Starts `worker`'s store under `layout`, in the file `eblk_<worker>`.
+    pub fn create(
+        vfs: &dyn Vfs,
+        layout: &'a BlockLayout,
+        worker: WorkerId,
+        codec: CodecChoice,
+    ) -> io::Result<VeBlockWriter<'a>> {
+        let first = layout.blocks_of_worker(worker).next();
+        let first_block = first.map_or(0, |b| b.0);
+        let base_vertex = first.map_or(0, |b| layout.block_range(b).start);
+        let end_row = first_block + layout.worker_block_count(worker) as u32;
+        let num_blocks = layout.num_blocks();
+        Ok(VeBlockWriter {
+            layout,
+            file: vfs.create(&format!("eblk_{}", worker.index()))?,
+            codec,
+            row: first_block,
+            end_row,
+            next_vertex: base_vertex,
+            cells: vec![Vec::new(); num_blocks],
+            cell_frags: vec![0; num_blocks],
+            first_block,
+            base_vertex,
+            meta: Vec::new(),
+            phys: vec![0],
+            logi: vec![0],
+            frags: vec![0],
+            row_stored: Vec::new(),
+            fragment_counts: Vec::new(),
+            peak_row_bytes: 0,
+        })
+    }
+
+    /// Adds the out-edges of the next local vertex, sorted by destination.
+    pub fn push(&mut self, edges: &[Edge]) -> io::Result<()> {
+        self.flush_complete_rows()?;
+        if self.row == self.end_row {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "vertex past the worker's last block",
+            ));
+        }
+        let v = self.next_vertex;
+        let mut fragments = 0;
+        // Sorted destinations fall into ascending per-block runs: one pass
+        // emits each fragment, with one block lookup per run.
+        let mut k = 0;
+        while k < edges.len() {
+            let bi = self.layout.block_of(edges[k].dst);
+            let block_end = self.layout.block_range(bi).end;
+            let mut end = k + 1;
+            while end < edges.len() && edges[end].dst.0 < block_end {
+                end += 1;
+            }
+            let buf = &mut self.cells[bi.index()];
+            v.append_to(buf);
+            ((end - k) as u32).append_to(buf);
+            for e in &edges[k..end] {
+                e.append_to(buf);
+            }
+            self.cell_frags[bi.index()] += 1;
+            fragments += 1;
+            k = end;
+        }
+        self.fragment_counts.push(fragments);
+        self.next_vertex += 1;
+        Ok(())
+    }
+
+    /// Largest buffered row so far: the bytes reserved for one source
+    /// block's Eblocks, the writer's whole edge working set.
+    pub fn peak_row_bytes(&self) -> u64 {
+        self.peak_row_bytes
+    }
+
+    /// Flushes every row whose vertices have all been pushed.
+    fn flush_complete_rows(&mut self) -> io::Result<()> {
+        while self.row < self.end_row
+            && self.next_vertex == self.layout.block_range(BlockId(self.row)).end
+        {
+            self.flush_row()?;
+        }
+        Ok(())
+    }
+
+    /// Appends the current row's Eblocks in destination order and records
+    /// them in the directory.
+    fn flush_row(&mut self) -> io::Result<()> {
+        let row_bytes = self.cells.iter().map(|c| c.capacity() as u64).sum();
+        self.peak_row_bytes = self.peak_row_bytes.max(row_bytes);
+        let mut meta = BlockMeta::new(self.cells.len());
+        let (mut row_edge, mut row_aux) = (0, 0);
+        for (i, buf) in self.cells.iter_mut().enumerate() {
+            let stored_bytes = if buf.is_empty() {
+                0
+            } else if self.codec.is_none() {
+                self.file.append(AccessClass::SeqWrite, buf)?;
+                buf.len() as u64
+            } else {
+                let coded = encode_extent(self.codec, ExtentKind::Fragments, buf);
+                self.file
+                    .append_coded(AccessClass::SeqWrite, &coded, buf.len() as u64)?;
+                coded.len() as u64
+            };
+            let fragments = std::mem::take(&mut self.cell_frags[i]);
+            let (e, a) = EblockInfo {
+                bytes: buf.len() as u64,
+                aux_bytes: u64::from(fragments) * FRAGMENT_AUX_BYTES,
+                stored_bytes,
+                ..EblockInfo::default()
+            }
+            .stored_split();
+            row_edge += e;
+            row_aux += a;
+            if fragments > 0 {
+                meta.set_bit(i);
+            }
+            self.phys.push(self.phys.last().unwrap() + stored_bytes);
+            self.logi.push(self.logi.last().unwrap() + buf.len() as u64);
+            self.frags
+                .push(self.frags.last().unwrap() + u64::from(fragments));
+            buf.clear();
+        }
+        self.meta.push(meta);
+        self.row_stored.push((row_edge, row_aux));
+        self.row += 1;
+        Ok(())
+    }
+
+    /// Writes the remaining rows and freezes the directory. Every local
+    /// vertex must have been pushed.
+    pub fn finish(mut self) -> io::Result<VeBlockStore> {
+        self.flush_complete_rows()?;
+        if self.row < self.end_row {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("vertex {} was never pushed", self.next_vertex),
+            ));
+        }
+        let ef = |values: &[u64]| EliasFano::build(values).expect("running sums never decrease");
+        let index = Index {
+            num_blocks: self.cells.len(),
+            first_block: self.first_block,
+            base_vertex: self.base_vertex,
+            meta: self.meta,
+            phys: ef(&self.phys),
+            logi: ef(&self.logi),
+            frags: ef(&self.frags),
+            row_stored: self.row_stored,
+            fragment_counts: self.fragment_counts,
+        };
+        Ok(VeBlockStore {
+            file: self.file,
+            index: Arc::new(index),
+            codec: self.codec,
+        })
+    }
 }
 
 impl VeBlockStore {
@@ -160,207 +363,103 @@ impl VeBlockStore {
         worker: WorkerId,
         codec: CodecChoice,
     ) -> io::Result<VeBlockStore> {
-        let num_blocks = layout.num_blocks();
-        let local_blocks: Vec<BlockId> = layout.blocks_of_worker(worker).collect();
-        let first_block = local_blocks.first().map_or(0, |b| b.0);
-        let base_vertex = local_blocks
-            .first()
-            .map_or(0, |&b| layout.block_range(b).start);
-        let local_vertices = local_blocks
-            .iter()
-            .map(|&b| layout.block_range(b).len())
-            .sum::<usize>();
-        let in_degrees = graph.in_degrees();
-
-        let mut files = Vec::with_capacity(local_blocks.len());
-        let mut index = Vec::with_capacity(local_blocks.len());
-        let mut meta = Vec::with_capacity(local_blocks.len());
-        let mut fragment_counts = vec![0u32; local_vertices];
-        let mut total_fragments = 0u64;
-        let mut total_edge_bytes = 0u64;
-
-        for &bj in &local_blocks {
-            let range = layout.block_range(bj);
-            let mut m = BlockMeta::new(range.len() as u32, num_blocks);
-            // Accumulate per-destination-block fragment buffers.
-            let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); num_blocks];
-            let mut frag_counts = vec![0u32; num_blocks];
-            for v in range.clone() {
-                let v = VertexId(v);
-                m.in_degree += in_degrees[v.index()] as u64;
-                let row = graph.out_edges(v);
-                m.out_degree += row.len() as u64;
-                // CSR rows are sorted by destination, so destination blocks
-                // appear in ascending runs: one pass emits each fragment,
-                // with one block lookup per run (not per edge).
-                let mut k = 0;
-                while k < row.len() {
-                    let bi = layout.block_of(row[k].dst);
-                    let block_end = layout.block_range(bi).end;
-                    let mut end = k + 1;
-                    while end < row.len() && row[end].dst.0 < block_end {
-                        end += 1;
-                    }
-                    let buf = &mut bufs[bi.index()];
-                    v.0.append_to_vec(buf);
-                    ((end - k) as u32).append_to_vec(buf);
-                    for e in &row[k..end] {
-                        e.append_to(buf);
-                    }
-                    frag_counts[bi.index()] += 1;
-                    fragment_counts[(v.0 - base_vertex) as usize] += 1;
-                    m.set_bit(bi);
-                    k = end;
-                }
+        let mut w = VeBlockWriter::create(vfs, layout, worker, codec)?;
+        for b in layout.blocks_of_worker(worker) {
+            for v in layout.block_range(b) {
+                w.push(graph.out_edges(VertexId(v)))?;
             }
-            // Concatenate the Eblocks into this block's file.
-            let file = vfs.create(&format!("eblk_{}", bj.0))?;
-            let mut block_index = Vec::with_capacity(num_blocks);
-            let mut offset = 0u64;
-            for (i, buf) in bufs.iter().enumerate() {
-                let aux = frag_counts[i] as u64 * FRAGMENT_AUX_BYTES;
-                let stored_bytes = if buf.is_empty() {
-                    0
-                } else if codec.is_none() {
-                    file.append(AccessClass::SeqWrite, buf)?;
-                    buf.len() as u64
-                } else {
-                    let coded = encode_extent(codec, ExtentKind::Fragments, buf);
-                    file.append_coded(AccessClass::SeqWrite, &coded, buf.len() as u64)?;
-                    coded.len() as u64
-                };
-                let info = EblockInfo {
-                    offset,
-                    bytes: buf.len() as u64,
-                    aux_bytes: aux,
-                    edge_bytes: buf.len() as u64 - aux,
-                    stored_bytes,
-                    fragments: frag_counts[i],
-                };
-                offset += stored_bytes;
-                total_fragments += frag_counts[i] as u64;
-                total_edge_bytes += info.edge_bytes;
-                block_index.push(info);
-            }
-            files.push(file);
-            index.push(block_index);
-            meta.push(m);
         }
-
-        Ok(VeBlockStore {
-            files,
-            index: std::sync::Arc::new(index),
-            meta: std::sync::Arc::new(meta),
-            first_block,
-            base_vertex,
-            fragment_counts: std::sync::Arc::new(fragment_counts),
-            total_fragments,
-            total_edge_bytes,
-            codec,
-        })
+        w.finish()
     }
 
-    /// A read-only view over the same Eblock files whose I/O is recorded
-    /// into `stats` instead of the builder's sink. Index, metadata and
-    /// fragment counts are Arc-shared; the files are immutable after
-    /// [`VeBlockStore::build_with`] (vertex *values* live in the per-job
+    /// A read-only view over the same Eblock file whose I/O is recorded
+    /// into `stats` instead of the builder's sink. The directory,
+    /// metadata and fragment counts are Arc-shared; the file is immutable
+    /// after the build (vertex *values* live in the per-job
     /// [`ValueStore`](crate::value_store::ValueStore), never here), so
     /// concurrent views from different jobs are safe.
-    pub fn share_view(&self, stats: std::sync::Arc<crate::stats::IoStats>) -> VeBlockStore {
+    pub fn share_view(&self, stats: Arc<crate::stats::IoStats>) -> VeBlockStore {
         VeBlockStore {
-            files: self
-                .files
-                .iter()
-                .map(|f| f.with_stats(std::sync::Arc::clone(&stats)))
-                .collect(),
-            index: std::sync::Arc::clone(&self.index),
-            meta: std::sync::Arc::clone(&self.meta),
-            first_block: self.first_block,
-            base_vertex: self.base_vertex,
-            fragment_counts: std::sync::Arc::clone(&self.fragment_counts),
-            total_fragments: self.total_fragments,
-            total_edge_bytes: self.total_edge_bytes,
+            file: self.file.with_stats(stats),
+            index: Arc::clone(&self.index),
             codec: self.codec,
         }
     }
 
     /// How many fragments local vertex `v` appears in (no I/O).
     pub fn fragments_of(&self, v: VertexId) -> u32 {
-        let i = (v.0 - self.base_vertex) as usize;
-        debug_assert!(i < self.fragment_counts.len(), "vertex {v} not local");
-        self.fragment_counts[i]
+        let i = (v.0 - self.index.base_vertex) as usize;
+        debug_assert!(i < self.index.fragment_counts.len(), "vertex {v} not local");
+        self.index.fragment_counts[i]
     }
 
-    /// Total *logical* Eblock bytes a pull request touching local block
+    /// Total *physical* Eblock bytes a pull request touching local block
     /// `j` scans: `(edge bytes, auxiliary bytes)` summed over all
-    /// destinations.
-    pub fn block_scan_bytes(&self, j: BlockId) -> (u64, u64) {
-        let per = &self.index[self.local_of(j)];
-        let edge = per.iter().map(|i| i.edge_bytes).sum();
-        let aux = per.iter().map(|i| i.aux_bytes).sum();
-        (edge, aux)
-    }
-
-    /// Like [`VeBlockStore::block_scan_bytes`] but in *physical* stored
-    /// bytes — what the device actually moves, and therefore what the
-    /// `Q_t` predictor should charge for a b-pull scan of block `j`.
+    /// destinations — what the device actually moves, and therefore what
+    /// the `Q_t` predictor should charge for a b-pull scan of block `j`.
     pub fn block_scan_stored_bytes(&self, j: BlockId) -> (u64, u64) {
-        let per = &self.index[self.local_of(j)];
-        let mut edge = 0;
-        let mut aux = 0;
-        for info in per {
-            let (e, a) = info.stored_split();
-            edge += e;
-            aux += a;
-        }
-        (edge, aux)
+        self.index.row_stored[self.local_of(j)]
     }
 
     /// Number of local blocks.
     pub fn local_blocks(&self) -> usize {
-        self.meta.len()
+        self.index.meta.len()
     }
 
     /// Global id of the first local block.
     pub fn first_block(&self) -> BlockId {
-        BlockId(self.first_block)
+        BlockId(self.index.first_block)
     }
 
     #[inline]
     fn local_of(&self, b: BlockId) -> usize {
-        let j = (b.0 - self.first_block) as usize;
-        debug_assert!(j < self.meta.len(), "block {b} is not local");
+        let j = (b.0 - self.index.first_block) as usize;
+        debug_assert!(j < self.local_blocks(), "block {b} is not local");
         j
     }
 
     /// Metadata `X_j` of local block `b`.
     pub fn meta(&self, b: BlockId) -> &BlockMeta {
-        &self.meta[self.local_of(b)]
+        &self.index.meta[self.local_of(b)]
     }
 
-    /// Extent info of Eblock `g_{j,i}`.
-    pub fn eblock_info(&self, j: BlockId, i: BlockId) -> &EblockInfo {
-        &self.index[self.local_of(j)][i.index()]
+    /// Extent info of Eblock `g_{j,i}`: six directory reads, no I/O.
+    pub fn eblock_info(&self, j: BlockId, i: BlockId) -> EblockInfo {
+        let ix = &*self.index;
+        let c = (self.local_of(j) * ix.num_blocks + i.index()) as u64;
+        let offset = ix.phys.get(c);
+        let bytes = ix.logi.get(c + 1) - ix.logi.get(c);
+        let fragments = ix.frags.get(c + 1) - ix.frags.get(c);
+        let aux_bytes = fragments * FRAGMENT_AUX_BYTES;
+        EblockInfo {
+            offset,
+            bytes,
+            aux_bytes,
+            edge_bytes: bytes - aux_bytes,
+            stored_bytes: ix.phys.get(c + 1) - offset,
+            fragments: fragments as u32,
+        }
     }
 
     /// Total fragments across the store (the paper's `f`, used by
     /// Theorem 2's bound `B⊥ = |E|/2 − f`).
     pub fn total_fragments(&self) -> u64 {
-        self.total_fragments
+        last(&self.index.frags)
+    }
+
+    /// Total logical Eblock bytes (edges + fragment auxiliary data).
+    pub fn total_logical_bytes(&self) -> u64 {
+        last(&self.index.logi)
     }
 
     /// Total logical edge payload bytes in the store.
     pub fn total_edge_bytes(&self) -> u64 {
-        self.total_edge_bytes
+        self.total_logical_bytes() - self.total_fragments() * FRAGMENT_AUX_BYTES
     }
 
-    /// Total physical bytes the store's Eblock files occupy.
+    /// Total physical bytes the store's Eblock file occupies.
     pub fn total_stored_bytes(&self) -> u64 {
-        self.index
-            .iter()
-            .flat_map(|per| per.iter())
-            .map(|i| i.stored_bytes)
-            .sum()
+        last(&self.index.phys)
     }
 
     /// The codec the store was built with.
@@ -372,13 +471,14 @@ impl VeBlockStore {
     /// curves count: `#`, `ind`, `outd`, bitmap, `res` — Fig. 23's
     /// "metadata in VE-BLOCK").
     pub fn metadata_memory_bytes(&self) -> u64 {
-        self.meta.iter().map(|m| m.memory_bytes()).sum()
+        self.index.meta.iter().map(|m| m.memory_bytes()).sum()
     }
 
-    /// In-memory footprint of the Eblock extent index (an implementation
-    /// detail of this store, reported separately).
+    /// In-memory footprint of the Elias-Fano Eblock directory (an
+    /// implementation detail of this store, reported separately).
     pub fn index_memory_bytes(&self) -> u64 {
-        self.index.iter().map(|per| per.len() as u64 * 44).sum()
+        let ix = &*self.index;
+        ix.phys.memory_bytes() + ix.logi.memory_bytes() + ix.frags.memory_bytes()
     }
 
     /// Sequentially reads and decodes Eblock `g_{j,i}`.
@@ -399,18 +499,25 @@ impl VeBlockStore {
     /// same accounting and the same checks, but the fragments land in
     /// `cols` (replacing its contents) instead of one vector per
     /// fragment, so a caller that reuses `cols` allocates nothing per
-    /// fragment.
-    pub fn scan_eblock_into(&self, j: BlockId, i: BlockId, cols: &mut Frags) -> io::Result<()> {
-        let Some((jl, info)) = self.extent(j, i) else {
+    /// fragment. Returns the Eblock's extent info.
+    pub fn scan_eblock_into(
+        &self,
+        j: BlockId,
+        i: BlockId,
+        cols: &mut Frags,
+    ) -> io::Result<EblockInfo> {
+        let info = self.eblock_info(j, i);
+        if info.bytes == 0 {
             cols.clear();
-            return Ok(());
-        };
+            return Ok(info);
+        }
         if self.codec.is_none() {
-            let raw =
-                self.files[jl].read_vec(AccessClass::SeqRead, info.offset, info.bytes as usize)?;
+            let raw = self
+                .file
+                .read_vec(AccessClass::SeqRead, info.offset, info.bytes as usize)?;
             cols.parse_raw(&raw)
         } else {
-            let coded = self.files[jl].read_vec_coded(
+            let coded = self.file.read_vec_coded(
                 AccessClass::SeqRead,
                 info.offset,
                 info.stored_bytes as usize,
@@ -419,15 +526,24 @@ impl VeBlockStore {
             decode_fragments(&coded, info.bytes as usize, cols)
         }
         .map_err(|e| eblock_invalid(j, i, e.to_string()))?;
-        check_fragment_count(j, i, cols.len(), &info)
+        if cols.len() != info.fragments as usize {
+            return Err(eblock_invalid(
+                j,
+                i,
+                format!(
+                    "decoded {} fragments, index says {}",
+                    cols.len(),
+                    info.fragments
+                ),
+            ));
+        }
+        Ok(info)
     }
+}
 
-    /// The local index and extent of a non-empty Eblock `g_{j,i}`.
-    fn extent(&self, j: BlockId, i: BlockId) -> Option<(usize, EblockInfo)> {
-        let jl = self.local_of(j);
-        let info = self.index[jl][i.index()];
-        (info.bytes > 0).then_some((jl, info))
-    }
+/// The final (total) entry of a cumulative directory sequence.
+fn last(ef: &EliasFano) -> u64 {
+    ef.get(ef.len() - 1)
 }
 
 /// The error for stored Eblock bytes that do not decode as indexed.
@@ -438,19 +554,8 @@ fn eblock_invalid(j: BlockId, i: BlockId, why: String) -> io::Error {
     )
 }
 
-fn check_fragment_count(j: BlockId, i: BlockId, got: usize, info: &EblockInfo) -> io::Result<()> {
-    if got != info.fragments as usize {
-        return Err(eblock_invalid(
-            j,
-            i,
-            format!("decoded {got} fragments, index says {}", info.fragments),
-        ));
-    }
-    Ok(())
-}
-
 /// Splits decoded fragment columns into one [`Fragment`] per source.
-pub(crate) fn fragments_from_columns(cols: &Frags) -> Vec<Fragment> {
+fn fragments_from_columns(cols: &Frags) -> Vec<Fragment> {
     cols.iter()
         .map(|(src, ids, weights)| Fragment {
             src: VertexId(src),
@@ -461,18 +566,6 @@ pub(crate) fn fragments_from_columns(cols: &Frags) -> Vec<Fragment> {
                 .collect(),
         })
         .collect()
-}
-
-/// Little helper so `u32` values can append themselves like [`Record`]s.
-trait AppendTo {
-    fn append_to_vec(&self, out: &mut Vec<u8>);
-}
-
-impl AppendTo for u32 {
-    #[inline]
-    fn append_to_vec(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
 }
 
 #[cfg(test)]
@@ -509,24 +602,6 @@ mod tests {
             }
         }
         assert_eq!(total_edges, g.num_edges());
-    }
-
-    #[test]
-    fn metadata_matches_graph() {
-        let g = gen::uniform(40, 200, 1);
-        let (_, l) = layout(40, 2, 2);
-        let vfs = MemVfs::new();
-        let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
-        let ind = g.in_degrees();
-        for j in l.blocks_of_worker(WorkerId(0)) {
-            let m = s.meta(j);
-            let r = l.block_range(j);
-            assert_eq!(m.vertex_count, r.len() as u32);
-            let want_out: u64 = r.clone().map(|v| g.out_degree(VertexId(v)) as u64).sum();
-            let want_in: u64 = r.clone().map(|v| ind[v as usize] as u64).sum();
-            assert_eq!(m.out_degree, want_out);
-            assert_eq!(m.in_degree, want_in);
-        }
     }
 
     #[test]
@@ -590,7 +665,7 @@ mod tests {
         let vfs = MemVfs::new();
         let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
         let before = vfs.stats().snapshot();
-        let info = *s.eblock_info(BlockId(0), BlockId(1));
+        let info = s.eblock_info(BlockId(0), BlockId(1));
         s.scan_eblock(BlockId(0), BlockId(1)).unwrap();
         let d = vfs.stats().snapshot().delta(&before);
         assert_eq!(d.seq_read_bytes, info.bytes);
@@ -641,13 +716,17 @@ mod tests {
     fn block_scan_totals() {
         let g = gen::uniform(30, 150, 2);
         let (_, l) = layout(30, 1, 3);
-        let vfs = MemVfs::new();
-        let s = VeBlockStore::build(&vfs, &g, &l, WorkerId(0)).unwrap();
-        for j in l.block_ids() {
-            let (edge, aux) = s.block_scan_bytes(j);
-            let want_edge: u64 = l.block_ids().map(|i| s.eblock_info(j, i).edge_bytes).sum();
-            let want_aux: u64 = l.block_ids().map(|i| s.eblock_info(j, i).aux_bytes).sum();
-            assert_eq!((edge, aux), (want_edge, want_aux));
+        for codec in [CodecChoice::None, CodecChoice::Bv] {
+            let s = VeBlockStore::build_with(&MemVfs::new(), &g, &l, WorkerId(0), codec).unwrap();
+            for j in l.block_ids() {
+                let (mut edge, mut aux) = (0, 0);
+                for i in l.block_ids() {
+                    let (e, a) = s.eblock_info(j, i).stored_split();
+                    edge += e;
+                    aux += a;
+                }
+                assert_eq!(s.block_scan_stored_bytes(j), (edge, aux), "{codec:?}");
+            }
         }
     }
 
@@ -657,19 +736,16 @@ mod tests {
         let (_, l) = layout(120, 2, 3);
         let base_vfs = MemVfs::new();
         let base = VeBlockStore::build(&base_vfs, &g, &l, WorkerId(0)).unwrap();
-        for codec in [
-            CodecChoice::Gaps,
-            CodecChoice::Block,
-            CodecChoice::Bv,
-            CodecChoice::Auto,
-        ] {
+        for codec in [CodecChoice::Gaps, CodecChoice::Bv] {
             let vfs = MemVfs::new();
             let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), codec).unwrap();
             assert_eq!(s.total_edge_bytes(), base.total_edge_bytes());
+            assert_eq!(s.total_logical_bytes(), base.total_logical_bytes());
             assert_eq!(s.total_fragments(), base.total_fragments());
             for j in l.blocks_of_worker(WorkerId(0)) {
-                assert_eq!(s.block_scan_bytes(j), base.block_scan_bytes(j));
                 for i in l.block_ids() {
+                    let (info, want) = (s.eblock_info(j, i), base.eblock_info(j, i));
+                    assert_eq!((info.bytes, info.fragments), (want.bytes, want.fragments));
                     assert_eq!(
                         s.scan_eblock(j, i).unwrap(),
                         base.scan_eblock(j, i).unwrap(),
@@ -681,13 +757,7 @@ mod tests {
         // Gaps must clearly beat raw on sorted uniform-graph eblocks.
         let vfs = MemVfs::new();
         let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), CodecChoice::Gaps).unwrap();
-        let logical: u64 = l
-            .blocks_of_worker(WorkerId(0))
-            .map(|j| {
-                let (e, a) = s.block_scan_bytes(j);
-                e + a
-            })
-            .sum();
+        let logical = s.total_logical_bytes();
         assert!(
             s.total_stored_bytes() * 2 < logical,
             "gaps should at least halve eblock bytes: {} vs {logical}",
@@ -711,7 +781,7 @@ mod tests {
         let (_, l) = layout(60, 1, 2);
         let vfs = MemVfs::new();
         let s = VeBlockStore::build_with(&vfs, &g, &l, WorkerId(0), CodecChoice::Gaps).unwrap();
-        let info = *s.eblock_info(BlockId(0), BlockId(1));
+        let info = s.eblock_info(BlockId(0), BlockId(1));
         assert!(info.stored_bytes < info.bytes);
         let (se, sa) = info.stored_split();
         assert_eq!(se + sa, info.stored_bytes);
@@ -725,7 +795,7 @@ mod tests {
     /// The first eblock of local block 0 holding at least two fragments.
     fn eblock_with_two_fragments(s: &VeBlockStore, l: &BlockLayout) -> (BlockId, EblockInfo) {
         l.block_ids()
-            .map(|i| (i, *s.eblock_info(BlockId(0), i)))
+            .map(|i| (i, s.eblock_info(BlockId(0), i)))
             .find(|(_, info)| info.fragments >= 2)
             .expect("an eblock with two fragments")
     }
@@ -780,6 +850,74 @@ mod tests {
                 .unwrap();
             expect_invalid(&s, i, what);
         }
+    }
+
+    /// A sparse 64×64 grid of 4-vertex blocks: source block `b`'s first
+    /// vertex points at two vertices of block `7b + 1 mod 64`, nothing
+    /// else has edges.
+    fn sparse_grid(vfs: &MemVfs, layout: &BlockLayout) -> VeBlockStore {
+        let mut w = VeBlockWriter::create(vfs, layout, WorkerId(0), CodecChoice::Bv).unwrap();
+        for v in 0..256u32 {
+            let d = (v / 4 * 7 + 1) % 64 * 4;
+            let edges = [Edge::to(VertexId(d)), Edge::to(VertexId(d + 1))];
+            w.push(if v % 4 == 0 { &edges } else { &[] }).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn ef_directory_beats_flat_index() {
+        let l = BlockLayout::fixed(256, 4);
+        let vfs = MemVfs::new();
+        let s = sparse_grid(&vfs, &l);
+        // Three u64 columns per cell is what a flat directory would hold.
+        let flat = 24 * 64 * 64;
+        assert!(
+            s.index_memory_bytes() * 4 < flat,
+            "ef {} vs flat {flat}",
+            s.index_memory_bytes()
+        );
+        assert_eq!(s.total_fragments(), 64);
+        let hit = s.scan_eblock(BlockId(0), BlockId(1)).unwrap();
+        assert_eq!(hit.len(), 1);
+        assert_eq!(
+            hit[0].edges,
+            vec![Edge::to(VertexId(4)), Edge::to(VertexId(5))]
+        );
+    }
+
+    #[test]
+    fn empty_cells_cost_no_io() {
+        let l = BlockLayout::fixed(256, 4);
+        let vfs = MemVfs::new();
+        let s = sparse_grid(&vfs, &l);
+        let before = vfs.stats().snapshot();
+        assert!(s.scan_eblock(BlockId(0), BlockId(2)).unwrap().is_empty());
+        assert_eq!(
+            s.eblock_info(BlockId(0), BlockId(2)),
+            EblockInfo {
+                offset: s.eblock_info(BlockId(0), BlockId(1)).offset
+                    + s.eblock_info(BlockId(0), BlockId(1)).stored_bytes,
+                ..EblockInfo::default()
+            }
+        );
+        assert_eq!(vfs.stats().snapshot(), before);
+    }
+
+    #[test]
+    fn writer_rejects_missing_and_extra_vertices() {
+        let l = BlockLayout::fixed(10, 4);
+        let vfs = MemVfs::new();
+        let mut w = VeBlockWriter::create(&vfs, &l, WorkerId(0), CodecChoice::None).unwrap();
+        w.push(&[]).unwrap();
+        let err = w.finish().map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let mut w = VeBlockWriter::create(&vfs, &l, WorkerId(0), CodecChoice::None).unwrap();
+        for _ in 0..10 {
+            w.push(&[]).unwrap();
+        }
+        assert_eq!(w.push(&[]).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.finish().unwrap().local_blocks(), 3);
     }
 
     #[test]

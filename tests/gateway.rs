@@ -14,7 +14,7 @@ use hybridgraph::gateway::wire::{
     decode_frame, encode_frame, read_frame, write_frame, WireError, DEFAULT_MAX_FRAME, MAGIC,
     VERSION,
 };
-use hybridgraph::gateway::ClientError;
+use hybridgraph::gateway::{ClientError, GraphSource};
 use hybridgraph::prelude::*;
 use hybridgraph_graph::gen;
 use std::io::Write as _;
@@ -334,6 +334,30 @@ fn error_codes_cross_the_wire() {
         .unwrap_err();
     assert_eq!(remote_code(err), (ErrorDomain::Catalog, 4));
 
+    // Protocol code 6: codec bytes 2 and 3 belonged to the removed
+    // `block` and `auto` choices; the connection stays open after each.
+    let blob = hybridgraph::storage::encode_graph(&g);
+    let good = register_blob_frame(CodecChoice::Gaps, blob.clone());
+    let at = good
+        .iter()
+        .zip(&register_blob_frame(CodecChoice::Bv, blob))
+        .position(|(a, b)| a != b)
+        .expect("the codec byte differs");
+    let mut conn = transport.connect().expect("connect");
+    for tag in [2u8, 3] {
+        let mut frame = good.clone();
+        frame[at] = tag;
+        conn.write_all(&frame).expect("write");
+        assert_eq!(protocol_code(read_resp(&mut *conn)), 6, "codec tag {tag}");
+    }
+    let (kind, body) = Request::Metrics.encode();
+    write_frame(&mut *conn, kind, &body).expect("write");
+    assert!(matches!(
+        read_resp(&mut *conn),
+        Ok(Response::MetricsText(_))
+    ));
+    drop(conn);
+
     // Gateway code 2: requests racing a shutdown are refused, not
     // dropped — a second connection sees the typed code.
     let mut straggler = GatewayClient::connect_loopback(&transport).expect("connect");
@@ -360,6 +384,19 @@ fn protocol_code(resp: Result<Response, WireError>) -> u16 {
         }
         other => panic!("expected a protocol error response, got {other:?}"),
     }
+}
+
+/// A `RegisterGraph` frame for an inline graph blob.
+fn register_blob_frame(codec: CodecChoice, blob: Vec<u8>) -> Vec<u8> {
+    let (kind, body) = Request::RegisterGraph {
+        name: "raw".into(),
+        workers: 1,
+        vblocks_per_worker: 1,
+        codec,
+        source: GraphSource::Blob(blob),
+    }
+    .encode();
+    encode_frame(kind, &body)
 }
 
 /// Framing failures answer with a typed protocol error and close the
@@ -418,6 +455,22 @@ fn protocol_robustness_over_raw_connections() {
     assert!(
         matches!(read_resp(&mut *conn), Ok(Response::MetricsText(_))),
         "connection must survive a malformed body"
+    );
+    drop(conn);
+
+    // A graph blob whose header claims 2^40 vertices: code 6 before
+    // anything is sized from the count, and the connection keeps serving.
+    let mut conn = transport.connect().expect("connect");
+    let mut blob = (1u64 << 40).to_le_bytes().to_vec();
+    blob.extend_from_slice(&0u64.to_le_bytes());
+    conn.write_all(&register_blob_frame(CodecChoice::None, blob))
+        .expect("write");
+    assert_eq!(protocol_code(read_resp(&mut *conn)), 6);
+    let (kind, body) = Request::Metrics.encode();
+    write_frame(&mut *conn, kind, &body).expect("write");
+    assert!(
+        matches!(read_resp(&mut *conn), Ok(Response::MetricsText(_))),
+        "connection must survive a hostile graph header"
     );
     drop(conn);
 
